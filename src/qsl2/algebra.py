@@ -22,10 +22,13 @@ Elements are stored on the normal basis F^(m) K^(n) E^(p) with
 F^(m) = prod_i F[i]^(m_i)/[m_i]! (same for E), and n collects the K digits.
 A monomial is the integer triple (m, n, p).
 
-Multiplication reduces products to this basis through a memoized collision
-kernel ef_single(j, a, b) = normal form of E[j]^(a) F[j]^(b), computed by
-induction on a + b from the bracket relation.  Everything else (K twists,
-divided-power merges) is a closed-form scalar.
+With no lower-level corrections in the brackets, the levels commute and the
+algebra is the (N+1)-fold tensor power of u on this digit basis: digit i of
+(m, n, p) is a monomial of the i-th tensor factor.  Multiplication therefore
+needs one memoized single-digit kernel ef_single(a, b) = normal form of
+E^(a) F^(b) in u, computed by induction on a + b from the level-0 bracket.
+E^(p) F^(m) for multi-indices is the digitwise product of those tables, and
+everything else (K twists, divided-power merges) is a closed-form scalar.
 """
 
 from __future__ import annotations
@@ -58,6 +61,8 @@ class AlgebraParams:
             raise ValueError(f"level must be nonnegative, got {self.level}")
         if math.gcd(self.root_exponent % self.ell, self.ell) != 1:
             raise ValueError("root exponent must be coprime to ell")
+        # Exponents congruent mod ell name the same root, hence the same algebra.
+        object.__setattr__(self, "root_exponent", self.root_exponent % self.ell)
 
     @property
     def field(self) -> CycField:
@@ -91,9 +96,8 @@ class _Engine:
     def __init__(self, ell: int, root_exponent: int):
         self.ell = ell
         self.field = CycField(ell, root_exponent)
-        self._ef: dict[tuple[int, int, int], dict[Monomial, CycNum]] = {}
+        self._ef: dict[tuple[int, int], dict[Monomial, CycNum]] = {}
         self._collide: dict[tuple[int, int], dict[Monomial, CycNum]] = {}
-        self._tails: dict[int, dict[Monomial, CycNum]] = {}
         self._digs: dict[int, tuple[int, ...]] = {}
 
     # -- digit helpers ----------------------------------------------------
@@ -128,131 +132,80 @@ class _Engine:
         dn, dx = self.digits(n), self.digits(x)
         return sum(a * b for a, b in zip(dn, dx))
 
-    # -- structure elements ------------------------------------------------
+    # -- the single-digit kernel -------------------------------------------
 
-    def k_binom_block(self, shift: int, t: int) -> dict[Monomial, CycNum]:
-        """Digitwise product of K-binomials, expanded into K-power monomials."""
-        terms: dict[int, CycNum] = {0: self.field.one()}
-        power = 1
-        s_rest, t_rest = shift, t
-        while t_rest:
-            s_rest, sd = divmod(s_rest, self.ell)
-            t_rest, td = divmod(t_rest, self.ell)
-            if td:
-                laurent = k_binom_laurent(self.field, sd, td)
-                new: dict[int, CycNum] = {}
-                for n, coeff in terms.items():
-                    for b, c in laurent.items():
-                        key = n + (b % self.ell) * power
-                        v = coeff * c
-                        acc = new.get(key)
-                        v = v if acc is None else acc + v
-                        if v.is_zero():
-                            new.pop(key, None)
-                        else:
-                            new[key] = v
-                terms = new
-            power *= self.ell
-        return {(0, n, 0): c for n, c in terms.items()}
+    def bracket_tail(self) -> dict[Monomial, CycNum]:
+        """E F - F E in u, in normal form: (K - K^-1)/(lam - lam^-1).
 
-    def bracket_tail(self, j: int) -> dict[Monomial, CycNum]:
-        """E[j]F[j] - F[j]E[j] in normal form: (K[j] - K[j]^-1)/(lam - lam^-1).
-
-        Every consistent choice of lower-level correction terms for this
-        bracket (consistent = the universal highest-weight modules exist,
-        the coaction is multiplicative, and normal forms are associative)
-        differs from this one by a gauge family that no observable
-        structure distinguishes; the empty correction sum is the unique
-        uniform, parameter-free member, and it makes the level subalgebras
-        pairwise commuting copies of the small quantum group.
+        Every consistent choice of lower-level correction terms for the
+        level-j bracket (consistent = the universal highest-weight modules
+        exist, the coaction is multiplicative, and normal forms are
+        associative) differs from this one by a gauge family that no
+        observable structure distinguishes; the empty correction sum is the
+        unique uniform, parameter-free member, and it makes the level
+        subalgebras pairwise commuting copies of the small quantum group.
         """
-        tail = self._tails.get(j)
-        if tail is not None:
-            return tail
-        field = self.field
-        out: dict[Monomial, CycNum] = {}
-        inv = (field.lam() - field.lambda_pow(-1)).inverse()
-        power = self.ell ** j
-        _acc(out, (0, power, 0), inv)                      # K[j]/(lam - lam^-1)
-        _acc(out, (0, (self.ell - 1) * power, 0), -inv)    # -K[j]^-1/(lam - lam^-1)
-        self._tails[j] = out
-        return out
+        inv = (self.field.lam() - self.field.lambda_pow(-1)).inverse()
+        return {(0, 1, 0): inv, (0, self.ell - 1, 0): -inv}
 
-    # -- the collision kernel ----------------------------------------------
-
-    def ef_single(self, j: int, a: int, b: int) -> dict[Monomial, CycNum]:
-        """Normal form of E[j]^(a) * F[j]^(b), 0 <= a, b < ell."""
-        key = (j, a, b)
+    def ef_single(self, a: int, b: int) -> dict[Monomial, CycNum]:
+        """Normal form of E^(a) * F^(b) in u, 0 <= a, b < ell."""
+        key = (a, b)
         memo = self._ef.get(key)
         if memo is not None:
             return memo
-        power = self.ell ** j
         if a == 0:
-            out = {(b * power, 0, 0): self.field.one()}
+            out = {(b, 0, 0): self.field.one()}
         elif b == 0:
-            out = {(0, 0, a * power): self.field.one()}
+            out = {(0, 0, a): self.field.one()}
         elif a == 1:
-            # E[j] F[j]^(b) = (1/[b]) (F[j] * E[j]F[j]^(b-1) + tail * F[j]^(b-1))
-            prev = self.ef_single(j, 1, b - 1)
+            # E F^(b) = (1/[b]) (F * E F^(b-1) + tail * F^(b-1))
             out = {}
-            f_letter = (power, 0, 0)
-            for mono, coeff in prev.items():
-                for m2, c2 in self.mono_mul(f_letter, mono).items():
+            for mono, coeff in self.ef_single(1, b - 1).items():
+                for m2, c2 in self.mono_mul((1, 0, 0), mono).items():
                     _acc(out, m2, coeff * c2)
-            f_rest = ((b - 1) * power, 0, 0)
-            for mono, coeff in self.bracket_tail(j).items():
-                for m2, c2 in self.mono_mul(mono, f_rest).items():
+            for mono, coeff in self.bracket_tail().items():
+                for m2, c2 in self.mono_mul(mono, (b - 1, 0, 0)).items():
                     _acc(out, m2, coeff * c2)
             out = _scale(out, q_int(self.field, b).inverse())
         else:
-            # E[j]^(a) F[j]^(b) = (1/[a]) E[j] * (E[j]^(a-1) F[j]^(b))
-            prev = self.ef_single(j, a - 1, b)
+            # E^(a) F^(b) = (1/[a]) E * (E^(a-1) F^(b))
             out = {}
-            e_letter = (0, 0, power)
-            for mono, coeff in prev.items():
-                for m2, c2 in self.mono_mul(e_letter, mono).items():
+            for mono, coeff in self.ef_single(a - 1, b).items():
+                for m2, c2 in self.mono_mul((0, 0, 1), mono).items():
                     _acc(out, m2, coeff * c2)
             out = _scale(out, q_int(self.field, a).inverse())
         self._ef[key] = out
         return out
 
+    # -- the level-N product ------------------------------------------------
+
     def collide(self, p: int, m: int) -> dict[Monomial, CycNum]:
-        """Normal form of E^(p) * F^(m) for arbitrary multi-indices."""
-        if p == 0 and m == 0:
-            return {(0, 0, 0): self.field.one()}
-        if p == 0:
-            return {(m, 0, 0): self.field.one()}
-        if m == 0:
-            return {(0, 0, p): self.field.one()}
+        """Normal form of E^(p) * F^(m) for arbitrary multi-indices.
+
+        Levels commute, so E^(p) F^(m) is the product over digits i of
+        E[i]^(p_i) F[i]^(m_i): each digit's ef_single terms go into digit
+        position i, and their coefficients multiply.
+        """
+        if p == 0 or m == 0:
+            return {(m, 0, p): self.field.one()}
         key = (p, m)
         memo = self._collide.get(key)
         if memo is not None:
             return memo
-        j = max(len(self.digits(p)), len(self.digits(m))) - 1
-        power = self.ell ** j
-        pj, mj = self.digit(p, j), self.digit(m, j)
-        p_low, m_low = p - pj * power, m - mj * power
-        out: dict[Monomial, CycNum] = {}
-        if pj == 0:
-            # F[j]^(mj) slides left past E^(p) untouched.
-            for (x, y, z), coeff in self.collide(p, m_low).items():
-                _acc(out, (x + mj * power, y, z), coeff)
-        elif mj == 0:
-            # E[j]^(pj) slides right past F^(m) untouched.
-            for (x, y, z), coeff in self.collide(p_low, m).items():
-                _acc(out, (x, y, z + pj * power), coeff)
-        else:
-            # E^(p)F^(m) = E^(p_low) * [E[j]^(pj) F[j]^(mj)] * F^(m_low)
-            for (x, y, z), coeff in self.ef_single(j, pj, mj).items():
-                left = self.collide(p_low, x)
-                right = self.collide(z, m_low)
-                for (x1, y1, z1), c1 in left.items():
-                    shift = self.field.lambda_pow(-2 * self._k_pair(z1, y))
-                    lmono = (x1, self.k_add(y1, y), z1)
-                    c_left = coeff * c1 * shift
-                    for rmono, c2 in right.items():
-                        for m3, c3 in self.mono_mul(lmono, rmono).items():
-                            _acc(out, m3, c_left * c2 * c3)
+        out = {(0, 0, 0): self.field.one()}
+        power = 1
+        while p or m:
+            p, a = divmod(p, self.ell)
+            m, b = divmod(m, self.ell)
+            if a and b:
+                out = {(x + dx * power, y + dy * power, z + dz * power): c * dc
+                       for (x, y, z), c in out.items()
+                       for (dx, dy, dz), dc in self.ef_single(a, b).items()}
+            else:
+                out = {(x + b * power, y, z + a * power): c
+                       for (x, y, z), c in out.items()}
+            power *= self.ell
         self._collide[key] = out
         return out
 
@@ -277,19 +230,12 @@ class _Engine:
             _acc(out, (a_f + x, self.k_add(a_k, y, b_k), z + b_e), scalar)
         return out
 
-    def export_ef(self) -> dict[tuple[int, int, int], dict[Monomial, CycNum]]:
-        return dict(self._ef)
-
-    def load_ef(self, entries) -> None:
-        # Idempotent: recomputation yields equal values, so last write wins.
-        self._ef.update(entries)
-
 
 _ENGINES: dict[tuple[int, int], _Engine] = {}
 
 
 def engine_for(params: AlgebraParams) -> _Engine:
-    key = (params.ell, params.root_exponent % params.ell)
+    key = (params.ell, params.root_exponent)
     eng = _ENGINES.get(key)
     if eng is None:
         eng = _Engine(params.ell, params.root_exponent)
@@ -452,8 +398,21 @@ def k_monomial(params: AlgebraParams, n: int) -> AlgElement:
 
 def k_binom_element(params: AlgebraParams, shift: int, t: int) -> AlgElement:
     """The digitwise K-binomial <K; shift; t> expanded into K monomials."""
-    eng = engine_for(params)
-    return AlgElement(params, dict(eng.k_binom_block(shift, t)))
+    field, ell = params.field, params.ell
+    terms: dict[int, CycNum] = {0: field.one()}
+    power = 1
+    while t:
+        shift, sd = divmod(shift, ell)
+        t, td = divmod(t, ell)
+        if td:
+            new: dict[int, CycNum] = {}
+            laurent = k_binom_laurent(field, sd, td)
+            for n, coeff in terms.items():
+                for b, c in laurent.items():
+                    _acc(new, n + (b % ell) * power, coeff * c)
+            terms = new
+        power *= ell
+    return AlgElement(params, {(0, n, 0): c for n, c in terms.items()})
 
 
 def multiply(a: AlgElement, b: AlgElement) -> AlgElement:

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 desk-scale cap refusal.  Global options may also come from environment
-variables QSL2_ELL, QSL2_N, QSL2_ROOT_EXPONENT, QSL2_FORMAT, QSL2_CACHE
-(precedence: flag, then environment, then default).
+variables QSL2_ELL, QSL2_N, QSL2_ROOT_EXPONENT, QSL2_FORMAT (precedence:
+flag, then environment, then default).  An invalid value, from a flag or
+from the environment, is a usage error.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import sys
 
 from .algebra import (AlgebraParams, all_residues_zero, basis_monomials,
                       relation_residues, uq_params)
-from .cache import CacheError, load_cache, save_cache
 from .errors import ResourceCapError
 from .exprs import (ExprSyntaxError, element_to_json, evaluate, format_element,
                     parse_expr)
@@ -26,37 +26,33 @@ from .hyperalgebra import (HypParams, erratum_report, erratum_text,
 from .qcomb import gen_q_binom
 
 DEFAULT_CAP = 1000
+FORMATS = ("text", "json", "csv")
 
 
-def _env_default(name, fallback, cast=str):
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        return fallback
+def _format(value: str) -> str:
+    # argparse checks choices only on the command line, not on defaults.
+    if value not in FORMATS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {value!r} (choose from {', '.join(FORMATS)})")
+    return value
 
 
 def _common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ell", type=int,
-                        default=_env_default("QSL2_ELL", 3, int),
+    # A string default goes through `type` like a command-line value, so an
+    # environment value that does not parse is rejected, not ignored.
+    env = os.environ.get
+    parser.add_argument("--ell", type=int, default=env("QSL2_ELL", 3),
                         help="order of the root of unity (odd, >= 3)")
-    parser.add_argument("--N", type=int, dest="level",
-                        default=_env_default("QSL2_N", 0, int),
+    parser.add_argument("--N", type=int, dest="level", default=env("QSL2_N", 0),
                         help="level of the algebra (default 0)")
     parser.add_argument("--root-exponent", type=int,
-                        default=_env_default("QSL2_ROOT_EXPONENT", 1, int),
+                        default=env("QSL2_ROOT_EXPONENT", 1),
                         help="which primitive root q names (coprime to ell)")
-    parser.add_argument("--format", choices=("text", "json", "csv"),
-                        default=_env_default("QSL2_FORMAT", "text"),
+    parser.add_argument("--format", type=_format, choices=FORMATS,
+                        default=env("QSL2_FORMAT", "text"),
                         help="output format")
-    parser.add_argument("--cache", default=_env_default("QSL2_CACHE", None),
-                        help="structure-constant cache file")
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
                         help="desk-scale size cap for exact solves")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for verification shards")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,9 +105,6 @@ def _emit(args, payload: dict, text_lines: list[str], out) -> None:
 
 def _cmd_nf(args, out) -> int:
     params = _params(args)
-    if args.cache:
-        if os.path.exists(args.cache):
-            load_cache(args.cache, params)
     elements = []
     for text in args.exprs:
         ast = parse_expr(text, params)
@@ -129,8 +122,6 @@ def _cmd_nf(args, out) -> int:
     else:
         for e in results:
             print(format_element(e), file=out)
-    if args.cache:
-        save_cache(args.cache, params)
     return 0
 
 
@@ -199,26 +190,12 @@ def _cmd_rep(args, out) -> int:
     return 0
 
 
-def _relation_shard(task) -> list[dict]:
-    ell, level, root, i = task
-    params = AlgebraParams(ell, level, root)
-    return [e for e in relation_residues(params) if e["i"] == i]
-
-
 def _verify_relations(args, out) -> int:
     params = _params(args)
     if params.bound ** 2 > args.cap * 10:
         raise ResourceCapError(
             f"relation suite at dimension {params.bound} above cap {args.cap}")
-    if args.jobs > 1:
-        import multiprocessing
-        tasks = [(params.ell, params.level, params.root_exponent, i)
-                 for i in range(params.level + 1)]
-        with multiprocessing.Pool(args.jobs) as pool:
-            shards = pool.map(_relation_shard, tasks)
-        report = [entry for shard in shards for entry in shard]
-    else:
-        report = relation_residues(params)
+    report = relation_residues(params)
     failures = [e for e in report if not e["zero"]]
     ok = not failures
     lines = [f"relation residues at ell={params.ell}, N={params.level}: "
@@ -410,7 +387,7 @@ def main(argv=None, out=None) -> int:
             "qbinom": _verify_qbinom,
         }
         return dispatch[args.suite](args, out)
-    except (ExprSyntaxError, CacheError, ValueError) as exc:
+    except (ExprSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceCapError as exc:

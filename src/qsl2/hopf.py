@@ -229,7 +229,7 @@ _CACHES: dict[tuple[int, int, int], _HopfCache] = {}
 
 
 def _cache(params: AlgebraParams) -> _HopfCache:
-    key = (params.ell, params.root_exponent % params.ell, params.level)
+    key = (params.ell, params.root_exponent, params.level)
     cache = _CACHES.get(key)
     if cache is None:
         cache = _HopfCache(params)

@@ -35,13 +35,6 @@ def to_digits(value: int, base: int, width: int | None = None) -> tuple[int, ...
     return tuple(digits)
 
 
-def from_digits(digits, base: int) -> int:
-    value = 0
-    for d in reversed(tuple(digits)):
-        value = value * base + d
-    return value
-
-
 @functools.lru_cache(maxsize=None)
 def q_int(field: CycField, m: int) -> CycNum:
     """[m] = (lam^m - lam^-m)/(lam - lam^-1); defined for every integer m."""
@@ -154,14 +147,3 @@ def lucas_binom(m: int, n: int, p: int) -> int:
         n, nd = divmod(n, p)
         result = result * math.comb(md, nd) % p
     return result
-
-
-def binom_mod(n: int, k: int, p: int) -> int:
-    """binom(n, k) mod p for any integer n and k >= 0 (signed upper index)."""
-    if k < 0:
-        return 0
-    if n >= 0:
-        return lucas_binom(n, k, p)
-    # binom(n, k) = (-1)^k binom(k - n - 1, k)
-    value = lucas_binom(k - n - 1, k, p)
-    return (-value) % p if k % 2 else value

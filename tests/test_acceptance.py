@@ -251,7 +251,7 @@ def test_criterion_10_lucas_binomials():
             "all m,n < p^4, p in {2,3,5}")
 
 
-def test_criterion_11_cli(tmp_path):
+def test_criterion_11_cli():
     def run(argv):
         out = io.StringIO()
         code = cli.main(argv, out=out)
@@ -281,12 +281,5 @@ def test_criterion_11_cli(tmp_path):
     for text in CORPUS:
         ast = parse_expr(text, params)
         assert parse_expr(ast_to_string(ast), params) == ast
-
-    cache = str(tmp_path / "ef.qsl2")
-    args = ["nf", "E(4)*F(4)", "--ell", "3", "--N", "1", "--cache", cache]
-    code1, cold = run(args)
-    code2, warm = run(args)
-    assert code1 == code2 == 0 and cold == warm
     verdict(11, True, "golden invocations match; parse/print fixed point on "
-            f"{len(CORPUS)} expressions; cold and warm cache outputs "
-            "byte-identical")
+            f"{len(CORPUS)} expressions")

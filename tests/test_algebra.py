@@ -7,6 +7,7 @@ from qsl2.algebra import (AlgebraParams, AlgElement, all_residues_zero,
                           divided_power, generator, grading_degree,
                           inclusion_iota, k_monomial, projection_pi,
                           relation_residues, uq_params)
+from qsl2.modules import element_matrix, monomial_matrix, verma
 from qsl2.qcomb import gen_q_binom, q_factorial
 
 
@@ -88,13 +89,37 @@ def test_k_order():
     assert generator(p, "K", 1) ** 3 == AlgElement.unit(p)
 
 
-@pytest.mark.parametrize("ell,level", [(3, 0), (3, 1), (5, 0), (5, 1)])
+@pytest.mark.parametrize("ell,level", [(3, 0), (3, 1), (3, 2), (5, 0), (5, 1)])
 def test_relation_residues(ell, level):
     assert all_residues_zero(relation_residues(AlgebraParams(ell, level)))
 
 
 def test_relation_residues_with_other_root():
     assert all_residues_zero(relation_residues(AlgebraParams(3, 1, root_exponent=2)))
+
+
+def test_root_exponent_is_taken_mod_ell():
+    a, b = AlgebraParams(3, 1, 1), AlgebraParams(3, 1, 4)
+    assert a == b and b.root_exponent == 1
+    assert generator(a, "E", 0) + generator(b, "E", 0) == \
+        generator(a, "E", 0).scaled(2)
+
+
+def test_three_digit_products():
+    # level 2 at ell = 3: associativity, and the Verma matrices as an oracle
+    # independent of the product engine
+    p = AlgebraParams(3, 2)
+    rng = random.Random(7)
+    for _ in range(300):
+        a, b, c = rand_elem(rng, p), rand_elem(rng, p), rand_elem(rng, p)
+        assert (a * b) * c == a * (b * c)
+    for z in (0, 13, 26):
+        rep = verma(p, z)
+        for _ in range(30):
+            ma, mb = rand_mono(rng, p), rand_mono(rng, p)
+            prod = AlgElement.monomial(p, *ma) * AlgElement.monomial(p, *mb)
+            assert element_matrix(rep, prod) == \
+                monomial_matrix(rep, ma) @ monomial_matrix(rep, mb)
 
 
 def test_top_bracket_normal_form():

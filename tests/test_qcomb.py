@@ -4,14 +4,12 @@ import random
 import pytest
 
 from qsl2.cyclotomic import CycField
-from qsl2.qcomb import (binom_mod, from_digits, gen_q_binom, k_binom_at_power,
-                        k_binom_laurent, lucas_binom, q_binom, q_factorial,
-                        q_int, to_digits)
+from qsl2.qcomb import (gen_q_binom, k_binom_at_power, k_binom_laurent,
+                        lucas_binom, q_binom, q_factorial, q_int, to_digits)
 
 
 def test_digits_roundtrip():
     assert to_digits(14, 3) == (2, 1, 1)
-    assert from_digits((2, 1, 1), 3) == 14
     assert to_digits(0, 5) == ()
     assert to_digits(4, 3, width=3) == (1, 1, 0)
     with pytest.raises(ValueError):
@@ -134,11 +132,3 @@ def test_lucas_against_factorials_sampled():
             m = rng.randrange(p ** 3)
             n = rng.randrange(p ** 3)
             assert lucas_binom(m, n, p) == math.comb(m, n) % p
-
-
-def test_binom_mod_negative_upper():
-    for p in (3, 5):
-        for n in range(-10, 0):
-            for k in range(0, 8):
-                expected = (-1) ** k * math.comb(k - n - 1, k) % p
-                assert binom_mod(n, k, p) == expected
