@@ -29,28 +29,55 @@ DEFAULT_CAP = 1000
 FORMATS = ("text", "json", "csv")
 
 
+class _EnvText(str):
+    """An option default read from the environment variable `variable`."""
+
+
+def _env(name: str, fallback):
+    value = os.environ.get(name)
+    if value is None:
+        return fallback
+    text = _EnvText(value)
+    text.variable = name
+    return text
+
+
+def _source(value) -> str:
+    return f" from {value.variable}" if isinstance(value, _EnvText) else ""
+
+
+def _int(value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {value!r}{_source(value)}") from None
+
+
 def _format(value: str) -> str:
     # argparse checks choices only on the command line, not on defaults.
     if value not in FORMATS:
         raise argparse.ArgumentTypeError(
-            f"invalid choice: {value!r} (choose from {', '.join(FORMATS)})")
+            f"invalid choice: {value!r}{_source(value)} "
+            f"(choose from {', '.join(FORMATS)})")
     return value
 
 
 def _common_options(parser: argparse.ArgumentParser) -> None:
     # A string default goes through `type` like a command-line value, so an
-    # environment value that does not parse is rejected, not ignored.
-    env = os.environ.get
-    parser.add_argument("--ell", type=int, default=env("QSL2_ELL", 3),
+    # environment value that does not parse is rejected, not ignored, and
+    # the message names the variable it came from.
+    parser.add_argument("--ell", type=_int, default=_env("QSL2_ELL", 3),
                         help="order of the root of unity (odd, >= 3)")
-    parser.add_argument("--N", type=int, dest="level", default=env("QSL2_N", 0),
+    parser.add_argument("--N", type=_int, dest="level",
+                        default=_env("QSL2_N", 0),
                         help="level of the algebra (default 0)")
-    parser.add_argument("--root-exponent", type=int,
-                        default=env("QSL2_ROOT_EXPONENT", 1),
+    parser.add_argument("--root-exponent", type=_int,
+                        default=_env("QSL2_ROOT_EXPONENT", 1),
                         help="which primitive root q names (coprime to ell)")
     parser.add_argument("--format", type=_format, choices=FORMATS,
-                        default=env("QSL2_FORMAT", "text"),
-                        help="output format")
+                        default=_env("QSL2_FORMAT", "text"),
+                        help="output format (csv: rep character only)")
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
                         help="desk-scale size cap for exact solves")
 
@@ -374,6 +401,11 @@ def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.format == "csv" and (args.command, getattr(args, "what", None)) \
+            != ("rep", "character"):
+        print(f"error: --format csv{_source(args.format)} is supported "
+              f"only by 'rep character'", file=sys.stderr)
+        return 2
     try:
         if args.command in ("nf", "mul"):
             return _cmd_nf(args, out)

@@ -17,6 +17,12 @@ The level-N algebra is a left u-comodule algebra through
     rho(F[i]) = 1 (x) F[i]  (i < N)       rho(F[N]) = F (x) K[N]^-1 + 1 (x) F[N]
     rho(K[i]) = 1 (x) K[i]  (i < N)       rho(K[N]) = K (x) K[N]
 
+On the ell-adic digit basis the level-N algebra is the tensor power
+u^(x)(N+1), digit i holding the level-i letters, so rho is the coproduct
+of the top digit: rho(x_low * y[N]) = sum y1 (x) x_low * y2[N] for
+Delta(y) = sum y1 (x) y2, where y[N] moves y into digit N.  At level 0
+rho is Delta itself.
+
 Its coinvariants recover the level-(N-1) subalgebra, and the section
 gamma(F^(a) K^b E^(c)) = F[N]^(a) K[N]^b E[N]^(c) is a colinear,
 convolution-invertible cleaving map.
@@ -24,8 +30,9 @@ convolution-invertible cleaving map.
 
 from __future__ import annotations
 
-from .algebra import (AlgebraParams, AlgElement, Monomial, _acc, counit_eps,
-                      engine_for, generator, uq_params)
+from .algebra import (AlgebraParams, AlgElement, Monomial, _acc,
+                      basis_monomials, counit_eps, engine_for, generator,
+                      uq_params)
 from .cyclotomic import CycNum
 from .errors import ResourceCapError
 from .linalg import nullspace_of_columns, solve_columns
@@ -115,7 +122,6 @@ class _HopfCache:
         self._rho: dict[Monomial, Tensor2] = {}
         self._antipode: dict[Monomial, AlgElement] = {}
         self._delta_pows: dict[tuple[str, int], Tensor2] = {}
-        self._rho_top_pows: dict[tuple[str, int], Tensor2] = {}
 
     # -- coproduct of the small quantum group --------------------------------
 
@@ -157,53 +163,23 @@ class _HopfCache:
 
     # -- coaction of the level-N algebra --------------------------------------
 
-    def _rho_top_gen(self, kind: str) -> Tensor2:
-        up, dp = self.uparams, self.dparams
-        n = dp.level
-        e_u, f_u, k_u = (generator(up, g, 0) for g in ("E", "F", "K"))
-        if kind == "E":
-            return Tensor2.of(e_u, AlgElement.unit(dp)) + \
-                Tensor2.of(k_u, generator(dp, "E", n))
-        if kind == "F":
-            return Tensor2.of(f_u, generator(dp, "Kinv", n)) + \
-                Tensor2.of(AlgElement.unit(up), generator(dp, "F", n))
-        return Tensor2.of(k_u, generator(dp, "K", n))
-
-    def _rho_top_pow(self, kind: str, digit: int) -> Tensor2:
-        key = (kind, digit)
-        memo = self._rho_top_pows.get(key)
-        if memo is None:
-            if digit == 0:
-                memo = Tensor2.unit(self.uparams, self.dparams)
-            else:
-                memo = (self._rho_top_pow(kind, digit - 1) * self._rho_top_gen(kind)) \
-                    .scaled(q_int(self.field, digit).inverse())
-            self._rho_top_pows[key] = memo
-        return memo
-
     def rho_mono(self, mono: Monomial) -> Tensor2:
+        """Coaction of F^(m) K^n E^(p): the coproduct of its top digit.
+
+        The monomial is (its low digits) * (its top digit) with coefficient
+        1, since the levels commute; the low digits are coinvariant, so each
+        right-hand factor of Delta(top digit) is moved into digit N and
+        merged with the untouched low digits.
+        """
         memo = self._rho.get(mono)
         if memo is None:
-            dp = self.dparams
-            top_power = dp.ell ** dp.level
-            m, n, p = mono
-            m_low, m_top = m % top_power, m // top_power
-            p_low, p_top = p % top_power, p // top_power
-            n_top = n // top_power
-            one_u = AlgElement.unit(self.uparams)
-            # Low-level letters are coinvariant; the K part contributes a
-            # group-like left factor from its top digit only.
-            memo = Tensor2.of(one_u, AlgElement.monomial(dp, m_low, 0, 0)) \
-                if m_low else Tensor2.unit(self.uparams, dp)
-            if m_top:
-                memo = memo * self._rho_top_pow("F", m_top)
-            if n:
-                u_part = AlgElement.monomial(self.uparams, 0, n_top, 0)
-                memo = memo * Tensor2.of(u_part, AlgElement.monomial(dp, 0, n, 0))
-            if p_low:
-                memo = memo * Tensor2.of(one_u, AlgElement.monomial(dp, 0, 0, p_low))
-            if p_top:
-                memo = memo * self._rho_top_pow("E", p_top)
+            top = self.dparams.ell ** self.dparams.level
+            (m_top, m_low), (n_top, n_low), (p_top, p_low) = (
+                divmod(x, top) for x in mono)
+            memo = Tensor2(self.uparams, self.dparams, {
+                (u, (m_low + a * top, n_low + b * top, p_low + c * top)): coeff
+                for (u, (a, b, c)), coeff
+                in self.delta_mono((m_top, n_top, p_top)).terms.items()})
             self._rho[mono] = memo
         return memo
 
@@ -261,8 +237,6 @@ def uq_antipode(x: AlgElement) -> AlgElement:
 
 def rho(x: AlgElement) -> Tensor2:
     """The comodule-algebra coaction; at level 0 it is the coproduct."""
-    if x.params.level == 0:
-        return uq_coproduct(x)
     cache = _cache(x.params)
     out = Tensor2(cache.uparams, cache.dparams)
     for mono, coeff in x.terms.items():
@@ -282,11 +256,7 @@ def gamma(u_elem: AlgElement, params: AlgebraParams) -> AlgElement:
 
 
 def u_basis(uparams: AlgebraParams):
-    ell = uparams.ell
-    for a in range(ell):
-        for b in range(ell):
-            for c in range(ell):
-                yield (a, b, c)
+    return basis_monomials(uparams)
 
 
 def is_coinvariant(x: AlgElement) -> bool:
@@ -299,9 +269,11 @@ def is_coinvariant(x: AlgElement) -> bool:
 def coinvariants(params: AlgebraParams, size_cap: int = 1000):
     """Basis of {x : rho(x) = 1 (x) x}, by exact nullspace computation.
 
-    The solve splits into blocks along the Z-degree (deg E[i] = ell^i on the
-    algebra side, deg E = ell^N on the comodule side), which rho preserves.
-    Returns (basis, report); the report carries the dimension count.
+    rho changes only the top digit, so the solve splits into one block per
+    low-digit label: a basis monomial (m, n, p) of the level-(N-1) algebra,
+    whose block holds the ell^3 monomials (m, n, p) + ell^N (a, b, c).  The
+    split is checked, not assumed: a column with a row outside its block
+    raises.  Returns (basis, report); the report carries the dimension count.
     """
     if params.level < 1:
         raise ValueError("coinvariants need level >= 1")
@@ -310,20 +282,22 @@ def coinvariants(params: AlgebraParams, size_cap: int = 1000):
         raise ResourceCapError(
             f"coinvariant solve needs dimension {dim}, above the cap {size_cap}")
     cache = _cache(params)
-    bound = params.bound
-    blocks: dict[int, list[Monomial]] = {}
-    for m in range(bound):
-        for n in range(bound):
-            for p in range(bound):
-                blocks.setdefault(p - m, []).append((m, n, p))
     field = params.field
+    top = params.ell ** params.level
+    lower = AlgebraParams(params.ell, params.level - 1, params.root_exponent)
     basis: list[AlgElement] = []
-    for deg in sorted(blocks):
-        monos = blocks[deg]
+    for label in basis_monomials(lower):
+        monos = [tuple(low + top * d for low, d in zip(label, digits))
+                 for digits in u_basis(cache.uparams)]
         columns = []
         for mono in monos:
             col = dict(cache.rho_mono(mono).terms)
             _acc(col, ((0, 0, 0), mono), -field.one())
+            for _, row in col:
+                if tuple(x % top for x in row) != label:
+                    raise AssertionError(
+                        f"rho({mono}) has the row {row} outside the block "
+                        f"of low digits {label}")
             columns.append(col)
         for vec in nullspace_of_columns(columns, field):
             basis.append(AlgElement(params, {monos[i]: v for i, v in vec.items()}))
@@ -383,8 +357,7 @@ def element_inverse(a: AlgElement) -> AlgElement:
     bound = params.bound
     if bound ** 3 > 4000:
         raise ResourceCapError("element inversion above the desk-scale cap")
-    monos = [(m, n, p) for m in range(bound)
-             for n in range(bound) for p in range(bound)]
+    monos = list(basis_monomials(params))
     index = {mono: i for i, mono in enumerate(monos)}
     columns = []
     for mono in monos:
@@ -460,9 +433,7 @@ def _tensor3_rho_right(t: Tensor2, cache: _HopfCache) -> dict:
     """(id (x) rho) applied to an element of u (x) A."""
     out: dict = {}
     for (u, d), coeff in t.terms.items():
-        inner = cache.rho_mono(d) if cache.dparams.level > 0 \
-            else cache.delta_mono(d)
-        for (u2, d2), c in inner.terms.items():
+        for (u2, d2), c in cache.rho_mono(d).terms.items():
             _acc(out, (u, u2, d2), coeff * c)
     return out
 
@@ -501,14 +472,13 @@ def hopf_axiom_check(params: AlgebraParams) -> dict:
 
     def coassoc(mono):
         d = cache.delta_mono(mono)
-        return _tensor3_delta_left(d, cache) == _tensor3_rho_right(
-            Tensor2(up, up, dict(d.terms)), _cache(up))
+        return _tensor3_delta_left(d, cache) == _tensor3_rho_right(d, _cache(up))
 
     run("coassociativity", u_monos, coassoc)
 
     def counit_both(mono):
         d = cache.delta_mono(mono)
-        left = _counit_left(Tensor2(up, up, dict(d.terms)))
+        left = _counit_left(d)
         right: dict[Monomial, CycNum] = {}
         for (u1, u2), coeff in d.terms.items():
             a, _, c = u2
@@ -535,8 +505,7 @@ def hopf_axiom_check(params: AlgebraParams) -> dict:
     run("antipode", u_monos, antipode_both)
 
     if params.level >= 1:
-        d_monos = [(m, n, p) for m in range(params.bound)
-                   for n in range(params.bound) for p in range(params.bound)]
+        d_monos = list(basis_monomials(params))
 
         def coaction_coassoc(mono):
             r = cache.rho_mono(mono)

@@ -142,7 +142,19 @@ def test_invalid_env_exits_2(monkeypatch, capsys, name, value):
     with pytest.raises(SystemExit) as exc:
         run(["nf", "E[0]"])
     assert exc.value.code == 2
-    assert repr(value) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert repr(value) in err
+    assert name in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["nf", "E[0]*F[0]", "--format", "csv"],
+    ["verify", "relations", "--format", "csv"]])
+def test_format_csv_outside_rep_character_exits_2(capsys, argv):
+    code, out = run(argv)
+    assert code == 2
+    assert out == ""
+    assert "rep character" in capsys.readouterr().err
 
 
 def test_flag_beats_env(monkeypatch):

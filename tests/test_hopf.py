@@ -2,13 +2,14 @@ import random
 
 import pytest
 
+from qsl2 import hopf
 from qsl2.algebra import (AlgebraParams, AlgElement, generator, uq_params)
 from qsl2.errors import ResourceCapError
 from qsl2.hopf import (Tensor2, coinvariants, convolution_inverse, convolve,
                        element_inverse, gamma, gamma_colinear,
                        hopf_axiom_check, is_coinvariant, rho, u_basis,
                        unit_counit_map, uq_antipode, uq_coproduct)
-from qsl2.qcomb import q_int
+from qsl2.qcomb import q_factorial, q_int
 
 
 def test_coproduct_group_like_and_unit():
@@ -103,6 +104,33 @@ def test_coinvariants_dimension_and_span():
     assert is_coinvariant(AlgElement.unit(p))
 
 
+def test_coinvariants_split_into_low_digit_blocks():
+    p = AlgebraParams(3, 2)
+    basis, report = coinvariants(p, size_cap=20000)
+    assert report["dimension"] == len(basis) == 729
+    for vec in basis:
+        (mono,) = vec.terms
+        assert all(x < 9 for x in mono)  # top digit zero
+    assert len({next(iter(vec.terms)) for vec in basis}) == 729
+
+
+def test_coinvariants_refuse_a_column_outside_its_block(monkeypatch):
+    original = hopf._HopfCache.rho_mono
+
+    def leaky(self, mono):
+        out = original(self, mono)
+        if mono != (1, 0, 0):
+            return out
+        # (2, 0, 0) has low digits (2, 0, 0), not those of (1, 0, 0).
+        terms = dict(out.terms)
+        terms[((0, 0, 0), (2, 0, 0))] = self.field.one()
+        return Tensor2(out.uparams, out.dparams, terms)
+
+    monkeypatch.setattr(hopf._HopfCache, "rho_mono", leaky)
+    with pytest.raises(AssertionError, match=r"rho\(\(1, 0, 0\)\).*\(2, 0, 0\)"):
+        coinvariants(AlgebraParams(3, 1))
+
+
 def test_coinvariants_cap_refusal():
     with pytest.raises(ResourceCapError):
         coinvariants(AlgebraParams(5, 1), size_cap=1000)
@@ -169,3 +197,76 @@ def test_rho_multiplicative_random_pairs():
         b = AlgElement(p, {(rng.randrange(9), rng.randrange(9), rng.randrange(9)):
                            p.field.one()})
         assert rho(a * b) == rho(a) * rho(b)
+
+
+def _rho_by_generators(params: AlgebraParams):
+    """rho on the normal monomials as the ordered product of the generator
+    coactions, built with Tensor2.of and Tensor2.__mul__ only:
+
+        rho(X[i]) = 1 (x) X[i] for i < N,
+        rho(F[N]) = F (x) K[N]^-1 + 1 (x) F[N],
+        rho(E[N]) = E (x) 1 + K (x) E[N],    rho(K[N]) = K (x) K[N],
+
+    and the divided power X[i]^(d) is rho(X[i])^d / [d]!.
+    """
+    u = uq_params(params.ell, params.root_exponent)
+    ell, top, field = params.ell, params.level, params.field
+    one_u, one_d = AlgElement.unit(u), AlgElement.unit(params)
+    e_u, f_u, k_u = (generator(u, g, 0) for g in ("E", "F", "K"))
+
+    def of_generator(kind, i):
+        x = generator(params, kind, i)
+        if i < top:
+            return Tensor2.of(one_u, x)
+        if kind == "F":
+            return Tensor2.of(f_u, generator(params, "Kinv", top)) + \
+                Tensor2.of(one_u, x)
+        if kind == "E":
+            return Tensor2.of(e_u, one_d) + Tensor2.of(k_u, x)
+        return Tensor2.of(k_u, x)
+
+    powers = {}
+
+    def power(kind, i, d):
+        key = (kind, i, d)
+        if key not in powers:
+            powers[key] = Tensor2.unit(u, params) if d == 0 else \
+                power(kind, i, d - 1) * of_generator(kind, i)
+        return powers[key]
+
+    def of_monomial(mono):
+        out = Tensor2.unit(u, params)
+        for kind, index in zip("FKE", mono):
+            for i in range(top + 1):
+                d = index // ell ** i % ell
+                factor = power(kind, i, d)
+                if kind != "K":
+                    factor = factor.scaled(q_factorial(field, d).inverse())
+                out = out * factor
+        return out
+
+    return of_monomial
+
+
+def _monomial(params, mono):
+    return AlgElement(params, {mono: params.field.one()})
+
+
+@pytest.mark.parametrize("root_exponent", [1, 2])
+def test_rho_equals_product_of_generator_coactions_exhaustive(root_exponent):
+    p = AlgebraParams(3, 1, root_exponent)
+    oracle = _rho_by_generators(p)
+    for m in range(9):
+        for n in range(9):
+            for q in range(9):
+                assert rho(_monomial(p, (m, n, q))) == oracle((m, n, q)), (m, n, q)
+
+
+@pytest.mark.parametrize("ell,level", [(3, 2), (5, 1)])
+def test_rho_equals_product_of_generator_coactions_sampled(ell, level):
+    p = AlgebraParams(ell, level)
+    oracle = _rho_by_generators(p)
+    rng = random.Random(ell * 10 + level)
+    for _ in range(200):
+        mono = tuple(rng.randrange(p.bound) for _ in range(3))
+        assert rho(_monomial(p, mono)) == oracle(mono), mono
