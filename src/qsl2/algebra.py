@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CycField, CycNum
+from .cyclotomic import CycField, CycNum, _acc
 from .qcomb import gen_q_binom, q_int, k_binom_laurent, to_digits
 
 Monomial = tuple[int, int, int]
@@ -137,13 +137,9 @@ class _Engine:
     def bracket_tail(self) -> dict[Monomial, CycNum]:
         """E F - F E in u, in normal form: (K - K^-1)/(lam - lam^-1).
 
-        Every consistent choice of lower-level correction terms for the
-        level-j bracket (consistent = the universal highest-weight modules
-        exist, the coaction is multiplicative, and normal forms are
-        associative) differs from this one by a gauge family that no
-        observable structure distinguishes; the empty correction sum is the
-        unique uniform, parameter-free member, and it makes the level
-        subalgebras pairwise commuting copies of the small quantum group.
+        It carries no lower-level correction terms (the module docstring
+        says why), so the level subalgebras are pairwise commuting copies
+        of the small quantum group.
         """
         inv = (self.field.lam() - self.field.lambda_pow(-1)).inverse()
         return {(0, 1, 0): inv, (0, self.ell - 1, 0): -inv}
@@ -241,15 +237,6 @@ def engine_for(params: AlgebraParams) -> _Engine:
         eng = _Engine(params.ell, params.root_exponent)
         _ENGINES[key] = eng
     return eng
-
-
-def _acc(store: dict, key, value: CycNum) -> None:
-    old = store.get(key)
-    value = value if old is None else old + value
-    if value.is_zero():
-        store.pop(key, None)
-    else:
-        store[key] = value
 
 
 def _scale(store: dict, factor: CycNum) -> dict:

@@ -21,7 +21,7 @@ from .errors import ResourceCapError
 from .exprs import (ExprSyntaxError, element_to_json, evaluate, format_element,
                     parse_expr)
 from .hyperalgebra import (HypParams, erratum_report, erratum_text,
-                           frobenius_pi, hyp_monomial, hyp_multiply,
+                           frobenius_pi, hyp_add, hyp_monomial, hyp_multiply,
                            kernel_dimensions, xy_normal_order)
 from .qcomb import gen_q_binom
 
@@ -304,12 +304,7 @@ def _verify_charp(args, out) -> int:
     params = HypParams(p, k + 1)
     rng = random.Random(args.seed)
 
-    bracket = dict(xy_normal_order(params, 1, 1))
-    val = (bracket.get((1, 0, 1), 0) - 1) % p
-    if val:
-        bracket[(1, 0, 1)] = val
-    else:
-        bracket.pop((1, 0, 1), None)
+    bracket = hyp_add(xy_normal_order(params, 1, 1), {(1, 0, 1): -1}, p)
     bracket_ok = bracket == {(0, 1, 0): 1}
 
     total = params.bound ** 3

@@ -212,6 +212,17 @@ class CycNum:
         return f"CycNum({self.order}, {self.coeffs!r})"
 
 
+def _acc(store: dict, key, value: CycNum) -> None:
+    """Add value to store[key] in a sparse combination, which keeps only
+    nonzero coefficients: the key is dropped when the sum is zero."""
+    old = store.get(key)
+    value = value if old is None else old + value
+    if value.is_zero():
+        store.pop(key, None)
+    else:
+        store[key] = value
+
+
 def _trim(coeffs) -> tuple[Fraction, ...]:
     c = list(coeffs)
     while len(c) > 1 and c[-1] == 0:

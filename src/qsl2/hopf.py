@@ -30,10 +30,9 @@ convolution-invertible cleaving map.
 
 from __future__ import annotations
 
-from .algebra import (AlgebraParams, AlgElement, Monomial, _acc,
-                      basis_monomials, counit_eps, engine_for, generator,
-                      uq_params)
-from .cyclotomic import CycNum
+from .algebra import (AlgebraParams, AlgElement, Monomial, basis_monomials,
+                      counit_eps, engine_for, generator, uq_params)
+from .cyclotomic import CycNum, _acc
 from .errors import ResourceCapError
 from .linalg import nullspace_of_columns, solve_columns
 from .qcomb import q_factorial, q_int
@@ -102,7 +101,8 @@ class Tensor2:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor2):
             return NotImplemented
-        return self.terms == other.terms
+        return self.uparams == other.uparams and self.dparams == other.dparams \
+            and self.terms == other.terms
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -354,9 +354,11 @@ def element_inverse(a: AlgElement) -> AlgElement:
             return AlgElement.monomial(params, 0, inv_n, 0, coeff=coeff.inverse())
     if counit_eps(a).is_zero():
         raise ZeroDivisionError("element has counit zero, hence no inverse")
-    bound = params.bound
-    if bound ** 3 > 4000:
-        raise ResourceCapError("element inversion above the desk-scale cap")
+    dim = params.bound ** 3
+    if dim > 4000:
+        raise ResourceCapError(
+            f"element inversion needs dimension {dim} at (ell, N) = "
+            f"({ell}, {params.level}), above the limit 4000")
     monos = list(basis_monomials(params))
     index = {mono: i for i, mono in enumerate(monos)}
     columns = []

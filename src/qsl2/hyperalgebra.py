@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .linalg import rank_mod_p
+from .linalg import _acc_mod, rank_mod_p
 from .qcomb import is_prime
 
 HypMonomial = tuple[int, int, int]  # (Y-part, H-part, X-part)
@@ -72,14 +72,8 @@ class TruncatedSeries2:
         for (i1, j1), v1 in self.coeffs.items():
             for (i2, j2), v2 in other.coeffs.items():
                 i, j = i1 + i2, j1 + j2
-                if i > self.order_t or j > self.order_u:
-                    continue
-                key = (i, j)
-                val = (out.get(key, 0) + v1 * v2) % self.p
-                if val:
-                    out[key] = val
-                else:
-                    out.pop(key, None)
+                if i <= self.order_t and j <= self.order_u:
+                    _acc_mod(out, (i, j), v1 * v2, self.p)
         return TruncatedSeries2(self.p, self.order_t, self.order_u, out)
 
     def pow(self, k: int) -> "TruncatedSeries2":
@@ -109,24 +103,11 @@ def _inv_one_plus_tu(p: int, order_t: int, order_u: int) -> TruncatedSeries2:
 def _one_plus_t_pow(p: int, e: int, order_t: int) -> dict[int, int]:
     """Coefficients of (1+t)^e mod p up to t^order_t, any integer e."""
     if e >= 0:
-        return {k: c for k in range(min(e, order_t) + 1)
-                if (c := math.comb(e, k) % p)}
-    inv = {k: (-1) ** k % p for k in range(order_t + 1)}  # (1+t)^-1
-    out = {0: 1}
-    for _ in range(-e):
-        new: dict[int, int] = {}
-        for k1, v1 in out.items():
-            for k2, v2 in inv.items():
-                k = k1 + k2
-                if k > order_t:
-                    continue
-                val = (new.get(k, 0) + v1 * v2) % p
-                if val:
-                    new[k] = val
-                else:
-                    new.pop(k, None)
-        out = new
-    return out
+        base = {(0, 0): 1, (1, 0): 1}  # 1+t
+    else:
+        base = {(k, 0): (-1) ** k % p for k in range(order_t + 1)}  # (1+t)^-1
+    ser = TruncatedSeries2(p, order_t, 0, base).pow(abs(e))
+    return {k: v for (k, _), v in ser.coeffs.items()}
 
 
 class _HypEngine:
@@ -228,21 +209,17 @@ class _HypEngine:
                 continue
             assert a + x < bound and z + c2 < bound
             base = v * y_merge * x_merge % p
-            # H^(b) slides right past Y^(x); X^(z) slides left past H^(b2).
+            # H^(b) slides right past Y^(x) and meets H^(y): sum_k h_k H^(k).
+            h_mid: dict[int, int] = {}
             for j, cj in self.move_table(b, -2 * x).items():
-                for i, ci in self.move_table(b2, -2 * z).items():
-                    for k1, ck1 in self.hh_table(j, y).items():
-                        for k2, ck2 in self.hh_table(k1, i).items():
-                            coeff = base * cj * ci * ck1 * ck2 % p
-                            if not coeff:
-                                continue
-                            assert k2 < bound
-                            key = (a + x, k2, z + c2)
-                            val = (out.get(key, 0) + coeff) % p
-                            if val:
-                                out[key] = val
-                            else:
-                                out.pop(key, None)
+                for k, ck in self.hh_table(j, y).items():
+                    _acc_mod(h_mid, k, cj * ck, p)
+            # X^(z) slides left past H^(b2), and H^(i) joins on the right.
+            for i, ci in self.move_table(b2, -2 * z).items():
+                for k, ck in h_mid.items():
+                    for k2, ck2 in self.hh_table(k, i).items():
+                        assert k2 < bound
+                        _acc_mod(out, (a + x, k2, z + c2), base * ci * ck * ck2, p)
         return out
 
 
@@ -269,11 +246,7 @@ def hyp_monomial(params: HypParams, a: int, b: int, c: int, coeff: int = 1) -> H
 def hyp_add(x: HypElement, y: HypElement, p: int) -> HypElement:
     out = dict(x)
     for k, v in y.items():
-        val = (out.get(k, 0) + v) % p
-        if val:
-            out[k] = val
-        else:
-            out.pop(k, None)
+        _acc_mod(out, k, v, p)
     return out
 
 
@@ -290,11 +263,7 @@ def hyp_multiply(params: HypParams, x: HypElement, y: HypElement) -> HypElement:
         for mb, cb in y.items():
             c = ca * cb % p
             for mono, coeff in eng.mono_mul(ma, mb).items():
-                val = (out.get(mono, 0) + c * coeff) % p
-                if val:
-                    out[mono] = val
-                else:
-                    out.pop(mono, None)
+                _acc_mod(out, mono, c * coeff, p)
     return out
 
 
@@ -395,21 +364,6 @@ def kernel_dimensions(params: HypParams, k: int) -> dict:
 # -- warm-up algebras by duality ---------------------------------------------
 
 
-def _poly_mul_mod(a: dict[int, int], b: dict[int, int], p: int, cap: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for i, v in a.items():
-        for j, w in b.items():
-            k = i + j
-            if k > cap:
-                continue
-            val = (out.get(k, 0) + v * w) % p
-            if val:
-                out[k] = val
-            else:
-                out.pop(k, None)
-    return out
-
-
 def additive_group_product(p: int, a: int, b: int, cap: int) -> dict[int, int]:
     """gamma_a * gamma_b in the distribution algebra of the additive group,
     evaluated by duality: (gamma_a gamma_b)(t^m) through Delta(t) = t(x)1 + 1(x)t."""
@@ -440,10 +394,11 @@ def multiplicative_group_product(p: int, a: int, b: int, cap: int) -> dict[int, 
             # (t-1)^i (x) t^i (t-1)^(m-i), with binom(m, i) ways
             if i != a:
                 continue
-            # expand t^i (t-1)^(m-i) in powers of s = t-1 and apply pi_b
-            t_pow = {j: math.comb(i, j) % p for j in range(i + 1)}
-            shifted = _poly_mul_mod(t_pow, {m - i: 1}, p, cap=a + b)
-            total += math.comb(m, i) * shifted.get(b, 0)
+            # t^i (t-1)^(m-i) = sum_j binom(i, j) s^(j+m-i) with s = t-1;
+            # pi_b reads the coefficient of s^b
+            j = b - (m - i)
+            if 0 <= j <= i:
+                total += math.comb(m, i) * math.comb(i, j)
         total %= p
         if total:
             out[m] = total
@@ -483,14 +438,8 @@ def printed_xy_closed_form(p: int, n: int, m: int) -> HypElement:
     for l in range(min(m, n) + 1):
         for k in range(l + 1):
             c = (-1) ** (l - k) * math.comb(m + n - l - k, l - k) % p
-            if not c:
-                continue
-            key = (m - l, k, n - l)
-            val = (out.get(key, 0) + c) % p
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
+            if c:
+                _acc_mod(out, (m - l, k, n - l), c, p)
     return out
 
 
@@ -500,14 +449,8 @@ def printed_xy_bracket_case(p: int, pn: int, pm: int) -> HypElement:
     for l in range(1, min(pn, pm) + 1):
         for k in range(l + 1):
             c = math.comb(l + k, l - k) % p
-            if not c:
-                continue
-            key = (pm - l, k, pn - l)
-            val = (out.get(key, 0) + c) % p
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
+            if c:
+                _acc_mod(out, (pm - l, k, pn - l), c, p)
     return out
 
 
@@ -545,13 +488,7 @@ def erratum_report(p: int, level: int = 1, cap: int | None = None) -> dict:
     for nn in range(level):
         for mm in range(level):
             pn, pm = p ** nn, p ** mm
-            oracle = dict(eng.xy_table(pn, pm))
-            yx = (pm, 0, pn)
-            val = (oracle.get(yx, 0) - 1) % p
-            if val:
-                oracle[yx] = val
-            else:
-                oracle.pop(yx, None)
+            oracle = hyp_add(eng.xy_table(pn, pm), {(pm, 0, pn): -1}, p)
             printed = printed_xy_bracket_case(p, pn, pm)
             if oracle != printed:
                 case_mismatches.append({
@@ -570,13 +507,7 @@ def erratum_report(p: int, level: int = 1, cap: int | None = None) -> dict:
                                hyp_monomial(big, 0, 0, xn))
             rhs = hyp_multiply(big, hyp_monomial(big, 0, 0, xn),
                                hyp_monomial(big, 0, hm, 0))
-            comm = dict(lhs)
-            for k, v in rhs.items():
-                val = (comm.get(k, 0) - v) % p
-                if val:
-                    comm[k] = val
-                else:
-                    comm.pop(k, None)
+            comm = hyp_add(lhs, hyp_scale(rhs, -1, p), p)
             printed = {(0, 0, xn): 2 % p} if mm == nn else {}
             printed = {k: v for k, v in printed.items() if v}
             if comm != printed:
@@ -596,13 +527,8 @@ def erratum_report(p: int, level: int = 1, cap: int | None = None) -> dict:
                 coeff = (math.factorial(a + b - i)
                          // (math.factorial(a - i) * math.factorial(b - i)
                              * math.factorial(i))) % p
-                for table, idx in ((printed_literal, a + b - 1),
-                                   (printed_fixed, a + b - i)):
-                    val = (table.get(idx, 0) + coeff) % p
-                    if val:
-                        table[idx] = val
-                    else:
-                        table.pop(idx, None)
+                _acc_mod(printed_literal, a + b - 1, coeff, p)
+                _acc_mod(printed_fixed, a + b - i, coeff, p)
             if oracle != printed_literal:
                 gm_as_printed.append({"m": a, "n": b,
                                       "oracle": repr(sorted(oracle.items())),

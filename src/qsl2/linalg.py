@@ -10,7 +10,7 @@ are deterministic.
 
 from __future__ import annotations
 
-from .cyclotomic import CycField, CycNum
+from .cyclotomic import CycField, CycNum, _acc
 
 
 class Mat:
@@ -44,14 +44,11 @@ class Mat:
         return self.entries.get((r, c), self.field.zero())
 
     def __add__(self, other: "Mat") -> "Mat":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("matrix shapes differ")
         out = dict(self.entries)
         for key, val in other.entries.items():
-            cur = out.get(key)
-            val = val if cur is None else cur + val
-            if val.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = val
+            _acc(out, key, val)
         return Mat(self.nrows, self.ncols, self.field, out)
 
     def __sub__(self, other: "Mat") -> "Mat":
@@ -74,13 +71,7 @@ class Mat:
         out: dict[tuple[int, int], CycNum] = {}
         for (r, k), v in self.entries.items():
             for c, w in rows_of_other.get(k, ()):
-                key = (r, c)
-                cur = out.get(key)
-                val = v * w if cur is None else cur + v * w
-                if val.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = val
+                _acc(out, (r, c), v * w)
         return Mat(self.nrows, other.ncols, self.field, out)
 
     __mul__ = __matmul__
@@ -102,12 +93,7 @@ class Mat:
         for (r, c), v in self.entries.items():
             x = vec.get(c)
             if x is not None:
-                cur = out.get(r)
-                val = v * x if cur is None else cur + v * x
-                if val.is_zero():
-                    out.pop(r, None)
-                else:
-                    out[r] = val
+                _acc(out, r, v * x)
         return out
 
     def kron(self, other: "Mat") -> "Mat":
@@ -130,16 +116,19 @@ class Mat:
     def __hash__(self):
         raise TypeError("Mat is unhashable")
 
+    def diagonal(self) -> list[CycNum]:
+        """The diagonal entries in order; ValueError if any other entry is nonzero."""
+        if any(r != c for r, c in self.entries):
+            raise ValueError("matrix is not diagonal")
+        return [self.get(i, i) for i in range(min(self.nrows, self.ncols))]
+
     def diagonal_inverse(self) -> "Mat":
         """Inverse of a diagonal matrix (used for K-generator matrices)."""
-        out: dict[tuple[int, int], CycNum] = {}
-        for (r, c), v in self.entries.items():
-            if r != c:
-                raise ValueError("matrix is not diagonal")
-            out[(r, c)] = v.inverse()
-        if len(out) != self.nrows:
+        diag = self.diagonal()
+        if len(self.entries) != self.nrows:
             raise ZeroDivisionError("diagonal matrix has a zero entry")
-        return Mat(self.nrows, self.ncols, self.field, out)
+        return Mat(self.nrows, self.ncols, self.field,
+                   {(i, i): v.inverse() for i, v in enumerate(diag)})
 
 
 def _reduce_row(row: dict, pivot_rows: dict) -> dict:
@@ -152,15 +141,12 @@ def _reduce_row(row: dict, pivot_rows: dict) -> dict:
             return row
         done = nxt
         factor = row.pop(nxt)
-        for c, v in pivot_rows[nxt].items():
-            if c == nxt:
-                continue
-            cur = row.get(c)
-            val = -(factor * v) if cur is None else cur - factor * v
-            if val.is_zero():
-                row.pop(c, None)
-            else:
-                row[c] = val
+        pivot = pivot_rows[nxt]
+        if len(pivot) > 1:  # more than its leading 1: negate once per pivot
+            factor = -factor
+            for c, v in pivot.items():
+                if c != nxt:
+                    _acc(row, c, factor * v)
 
 
 def _echelon(columns: list[dict], field: CycField):
@@ -221,6 +207,16 @@ def solve_columns(columns: list[dict], target: dict, field: CycField) -> dict[in
     return None
 
 
+def _acc_mod(store: dict, key, value: int, p: int) -> None:
+    """The F_p twin of `_acc`: add value to store[key] mod p, dropping the
+    key when the sum is zero."""
+    value = (store.get(key, 0) + value) % p
+    if value:
+        store[key] = value
+    else:
+        store.pop(key, None)
+
+
 def rank_mod_p(rows, p: int, stop_at: int | None = None) -> int:
     """Rank over F_p of sparse integer rows (dicts key->value), with early stop."""
     pivots: dict = {}
@@ -234,15 +230,10 @@ def rank_mod_p(rows, p: int, stop_at: int | None = None) -> int:
             if nxt is None:
                 break
             done = nxt
-            factor = work.pop(nxt)
+            factor = -work.pop(nxt)
             for c, v in pivots[nxt].items():
-                if c == nxt:
-                    continue
-                val = (work.get(c, 0) - factor * v) % p
-                if val:
-                    work[c] = val
-                else:
-                    work.pop(c, None)
+                if c != nxt:
+                    _acc_mod(work, c, factor * v, p)
         if work:
             lead = min(work)
             inv = pow(work[lead], -1, p)

@@ -19,6 +19,8 @@ test-suite (characters of universal modules are multiplicity-free).
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import (AlgebraParams, AlgElement, GeneratorId, uq_params)
@@ -157,14 +159,17 @@ def divided_power_matrix(rep: ModuleRep, kind: str, m: int) -> Mat:
 
 
 def k_monomial_matrix(rep: ModuleRep, n: int) -> Mat:
-    field = rep.params.field
-    result = Mat.identity(rep.dim, field)
-    rest, i = n, 0
-    while rest:
-        rest, digit = divmod(rest, rep.params.ell)
+    """Diagonal matrix of K^(n) = prod_i K[i]^(n_i), multiplied out entry by
+    entry from the diagonals of the K[i] (ValueError if one is not diagonal)."""
+    factors = []  # the diagonal of K[i], once for each unit of the digit n_i
+    for i, digit in enumerate(to_digits(n, rep.params.ell)):
         if digit:
-            result = result @ rep.mat("K", i).pow(digit)
-        i += 1
+            factors += [rep.mat("K", i).diagonal()] * digit
+    if not factors:
+        return Mat.identity(rep.dim, rep.params.field)
+    result = Mat.zero(rep.dim, rep.dim, rep.params.field)
+    for r, values in enumerate(zip(*factors)):
+        result.set(r, r, functools.reduce(operator.mul, values))
     return result
 
 
@@ -349,6 +354,7 @@ def steinberg_intertwiner(params: AlgebraParams, p: int) -> SteinbergResult:
     # Column t of the intertwiner: F^(t) applied to v0 (x) v0.
     v0 = {0: field.one()}
     smat = Mat.zero(right.dim, left.dim, field)
+    columns = []
     for col, t in enumerate(left.basis_labels):
         vec = dict(v0)
         rest, i = t, 0
@@ -361,12 +367,10 @@ def steinberg_intertwiner(params: AlgebraParams, p: int) -> SteinbergResult:
                 inv = q_factorial(field, digit).inverse()
                 vec = {r: v * inv for r, v in vec.items()}
             i += 1
+        columns.append(vec)
         for r, v in vec.items():
             smat.set(r, col, v)
 
-    columns = []
-    for col in range(left.dim):
-        columns.append({r: v for (r, c), v in smat.entries.items() if c == col})
     if nullspace_of_columns(columns, field):
         raise SteinbergError("intertwiner is not injective", {"p": p})
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .cyclotomic import CycField, CycNum
+from .cyclotomic import CycField, CycNum, _acc
 
 
 def to_digits(value: int, base: int, width: int | None = None) -> tuple[int, ...]:
@@ -106,14 +106,7 @@ def k_binom_laurent(field: CycField, s: int, a: int) -> dict[int, CycNum]:
         new: dict[int, CycNum] = {}
         for b, coeff in terms.items():
             for shift, c in ((1, c_up), (-1, c_down)):
-                v = coeff * c
-                key = b + shift
-                acc = new.get(key)
-                v = v if acc is None else acc + v
-                if v.is_zero():
-                    new.pop(key, None)
-                else:
-                    new[key] = v
+                _acc(new, b + shift, coeff * c)
         terms = new
     return terms
 

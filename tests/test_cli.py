@@ -98,6 +98,50 @@ def test_verify_charp():
     assert "disagree" in out  # erratum section present
 
 
+CHARP_P2_K1 = """\
+bracket [X(1), Y(1)] == H(1): PASS
+level-lowering map multiplicative on 4096 pairs (exhaustive): PASS
+kernel dim 56 == p^(3(k+1)) - p^(3k) = 56: PASS
+augmentation ideal spans kernel (rank 56): PASS
+Closed-form vs oracle comparison at p = 2
+  XY normal-order closed form: 1 of 4 instances disagree with the series oracle
+    X(1)Y(1): oracle H(1) + Y(1)*X(1) | printed 1*1 + H(1) + Y(1)*X(1)
+  XY bracket special case: 1 of 1 instances disagree
+  HX bracket special case: 1 of 4 instances disagree
+    [H(p^1), X(p^0)]: oracle X(1) | printed 0
+  Multiplicative-group product, subscripts as printed: 3 of 4 disagree; digit-corrected subscripts: 0 disagree
+PASS
+"""
+
+CHARP_P3_K1_SAMPLED = """\
+bracket [X(1), Y(1)] == H(1): PASS
+level-lowering map multiplicative on 500 pairs (sampled (500)): PASS
+kernel dim 702 == p^(3(k+1)) - p^(3k) = 702: PASS
+augmentation ideal spans kernel (rank 702): PASS
+Closed-form vs oracle comparison at p = 3
+  XY normal-order closed form: 4 of 9 instances disagree with the series oracle
+    X(1)Y(1): oracle H(1) + Y(1)*X(1) | printed 2*1 + H(1) + Y(1)*X(1)
+    X(1)Y(2): oracle 2*Y(1) + Y(1)*H(1) + Y(2)*X(1) | printed Y(1) + Y(1)*H(1) + Y(2)*X(1)
+    X(2)Y(1): oracle 2*X(1) + H(1)*X(1) + Y(1)*X(2) | printed X(1) + H(1)*X(1) + Y(1)*X(2)
+  XY bracket special case: 1 of 1 instances disagree
+  HX bracket special case: 1 of 4 instances disagree
+    [H(p^1), X(p^0)]: oracle X(1) + 2*H(2)*X(1) | printed 0
+  Multiplicative-group product, subscripts as printed: 7 of 9 disagree; digit-corrected subscripts: 0 disagree
+PASS
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["verify", "charp", "--p", "2", "--k", "1"], CHARP_P2_K1),
+    (["verify", "charp", "--p", "3", "--k", "1", "--samples", "500"],
+     CHARP_P3_K1_SAMPLED),
+], ids=["p2-k1", "p3-k1-samples500"])
+def test_verify_charp_golden(argv, expected):
+    code, out = run(argv)
+    assert code == 0
+    assert out == expected
+
+
 def test_parse_error_exits_2(capsys):
     code, _ = run(["nf", "E[0] +"])
     assert code == 2

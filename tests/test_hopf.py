@@ -188,6 +188,20 @@ def test_element_inverse_paths():
         element_inverse(generator(u, "E", 0))
 
 
+def test_element_inverse_refusal_names_the_dimension():
+    p = AlgebraParams(5, 1)
+    a = AlgElement.unit(p) + generator(p, "E", 0)
+    with pytest.raises(ResourceCapError, match=r"dimension 15625 .*\(5, 1\).*4000"):
+        element_inverse(a)
+
+
+def test_tensor_equality_compares_parameters():
+    u = uq_params(3)
+    assert Tensor2.unit(u, AlgebraParams(3, 1)) == Tensor2.unit(u, AlgebraParams(3, 1))
+    assert Tensor2.unit(u, AlgebraParams(3, 1)) != Tensor2.unit(u, AlgebraParams(3, 2))
+    assert Tensor2(u, u) != Tensor2(u, AlgebraParams(3, 1))
+
+
 def test_rho_multiplicative_random_pairs():
     p = AlgebraParams(3, 1)
     rng = random.Random(9)

@@ -36,6 +36,17 @@ def test_diagonal_inverse():
     assert d @ d.diagonal_inverse() == Mat.identity(2, field)
 
 
+def test_add_and_sub_refuse_different_shapes():
+    field = CycField(3)
+    small, big = Mat.zero(2, 2, field), Mat.identity(3, field)
+    with pytest.raises(ValueError, match="shapes"):
+        small + big
+    with pytest.raises(ValueError, match="shapes"):
+        big - small
+    with pytest.raises(ValueError, match="shapes"):
+        Mat.zero(2, 3, field) + Mat.zero(3, 2, field)
+
+
 def test_nullspace_known_system():
     field = CycField(3)
     one = field.one()

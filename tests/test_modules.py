@@ -5,8 +5,8 @@ import pytest
 from qsl2.algebra import AlgebraParams, AlgElement, generator, uq_params
 from qsl2.modules import (ModuleRep, SteinbergError, character,
                           divided_power_matrix, element_matrix,
-                          extend_by_trivial_top, monomial_matrix,
-                          primitive_vectors, pullback_via_pi,
+                          extend_by_trivial_top, k_monomial_matrix,
+                          monomial_matrix, primitive_vectors, pullback_via_pi,
                           rep_relation_check, simple, steinberg_intertwiner,
                           tensor_rep, trivial_rep, uq_simple, verma)
 from qsl2.qcomb import q_binom, q_int, to_digits
@@ -229,3 +229,21 @@ def test_element_matrix_is_multiplicative():
         eb = AlgElement(p, {b: p.field.one()})
         assert element_matrix(rep, ea * eb) == \
             monomial_matrix(rep, a) @ monomial_matrix(rep, b)
+
+
+def test_k_monomial_matrix_is_the_product_of_k_powers():
+    p = AlgebraParams(3, 1)
+    rep = simple(p, 7)
+    for n in range(9):
+        expected = rep.mat("K", 0).pow(n % 3) @ rep.mat("K", 1).pow(n // 3)
+        assert k_monomial_matrix(rep, n) == expected
+
+
+def test_k_monomial_matrix_refuses_a_non_diagonal_k():
+    p = uq_params(3)
+    rep = verma(p, 2)
+    bad = ModuleRep(p, rep.dim, dict(rep.action), rep.basis_labels)
+    bad.action[("K", 0)] = rep.mat("F", 0)
+    assert k_monomial_matrix(bad, 0) == k_monomial_matrix(rep, 0)
+    with pytest.raises(ValueError, match="not diagonal"):
+        k_monomial_matrix(bad, 1)
