@@ -13,16 +13,16 @@ construction mirrors.
 from .algebra import (AlgebraParams, AlgElement, all_residues_zero,
                       basis_monomials, counit_eps, divided_power, generator,
                       grading_degree, inclusion_iota, k_binom_element,
-                      k_monomial, multiply, projection_pi, relation_residues,
+                      k_monomial, projection_pi, relation_residues,
                       uq_params)
-from .cyclotomic import CycField, CycNum, Rat, cyclotomic_polynomial
+from .cyclotomic import CycField, CycNum, cyclotomic_polynomial
 from .errors import ResourceCapError
 from .exprs import (ExprSyntaxError, ast_to_string, element_to_json, evaluate,
                     format_cyc, format_element, parse_expr)
 from .hopf import (Tensor2, coinvariants, convolution_inverse, convolve,
                    element_inverse, gamma, gamma_colinear, hopf_axiom_check,
-                   is_coinvariant, rho, u_basis, unit_counit_map,
-                   uq_antipode, uq_coproduct)
+                   is_coinvariant, rho, unit_counit_map, uq_antipode,
+                   uq_coproduct)
 from .hyperalgebra import (HypParams, erratum_report, erratum_text,
                            frobenius_pi, ga_gm_models, hx_normal_order,
                            hy_normal_order, hyp_multiply, kernel_dimensions,

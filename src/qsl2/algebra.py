@@ -402,10 +402,6 @@ def k_binom_element(params: AlgebraParams, shift: int, t: int) -> AlgElement:
     return AlgElement(params, {(0, n, 0): c for n, c in terms.items()})
 
 
-def multiply(a: AlgElement, b: AlgElement) -> AlgElement:
-    return a * b
-
-
 def basis_monomials(params: AlgebraParams):
     """All (m, n, p) triples of the normal basis, in lexicographic order."""
     bound = params.bound
@@ -484,7 +480,7 @@ def bracket_rhs(params: AlgebraParams, j: int) -> AlgElement:
 
 
 def relation_residues(params: AlgebraParams) -> list[dict]:
-    """LHS - RHS of every defining relation instance, computed via multiply.
+    """LHS - RHS of every defining relation instance, computed with `AlgElement` products.
 
     An all-zero report means the normal-form structure constants satisfy
     the presentation.

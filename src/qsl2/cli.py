@@ -54,6 +54,16 @@ def _int(value: str) -> int:
             f"invalid int value: {value!r}{_source(value)}") from None
 
 
+def _positive_int(value: str) -> int:
+    # Zero samples would check nothing and still report PASS, and a cap
+    # below 1 refuses every size.
+    number = _int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value!r}")
+    return number
+
+
 def _format(value: str) -> str:
     # argparse checks choices only on the command line, not on defaults.
     if value not in FORMATS:
@@ -78,7 +88,7 @@ def _common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", type=_format, choices=FORMATS,
                         default=_env("QSL2_FORMAT", "text"),
                         help="output format (csv: rep character only)")
-    parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
+    parser.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
                         help="desk-scale size cap for exact solves")
 
 
@@ -111,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=("relations", "hopf", "cleft", "charp", "qbinom"))
     p_ver.add_argument("--p", type=int, default=3, help="prime for charp")
     p_ver.add_argument("--k", type=int, default=1, help="level index for charp")
-    p_ver.add_argument("--samples", type=int, default=10000,
+    p_ver.add_argument("--samples", type=_positive_int, default=10000,
                        help="sample count for randomized suites")
     p_ver.add_argument("--seed", type=int, default=0)
     _common_options(p_ver)
@@ -254,8 +264,7 @@ def _verify_hopf(args, out) -> int:
 def _verify_cleft(args, out) -> int:
     from .algebra import AlgElement, inclusion_iota
     from .hopf import (coinvariants, convolution_inverse, convolve, gamma,
-                       gamma_colinear, is_coinvariant, u_basis,
-                       unit_counit_map)
+                       gamma_colinear, is_coinvariant, unit_counit_map)
 
     params = _params(args)
     if params.level < 1:
@@ -282,7 +291,7 @@ def _verify_cleft(args, out) -> int:
     left = convolve(gamma_map, inverse, params)
     right = convolve(inverse, gamma_map, params)
     conv_ok = all(left[m] == identity(m) and right[m] == identity(m)
-                  for m in u_basis(uparams))
+                  for m in basis_monomials(uparams))
 
     ok = span_ok and colinear and conv_ok
     lines = [

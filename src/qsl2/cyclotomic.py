@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rat = Fraction
-
 
 class FieldMismatchError(ValueError):
     """Raised when combining elements of cyclotomic fields of different order."""

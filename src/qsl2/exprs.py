@@ -303,28 +303,26 @@ def evaluate(node: Node, params: AlgebraParams) -> AlgElement:
 # -- canonical rendering of elements -------------------------------------------
 
 
-def _poly_terms(c: CycNum) -> list[tuple[Fraction, int]]:
-    return [(coeff, k) for k, coeff in enumerate(c.coeffs) if coeff]
+def _poly_term(coeff: Fraction, k: int) -> tuple[bool, str]:
+    """One term coeff*q^k as its sign and its body: '3', 'q^2' or '3/2*q'."""
+    mag = abs(coeff)
+    if k == 0:
+        return coeff < 0, str(mag)
+    qs = "q" if k == 1 else f"q^{k}"
+    return coeff < 0, qs if mag == 1 else f"{mag}*{qs}"
+
+
+def _signed_sum(terms: list[tuple[bool, str]]) -> str:
+    """Join (negative, body) terms: '-a + b - c'."""
+    first_negative, first = terms[0]
+    return ("-" if first_negative else "") + first + "".join(
+        (" - " if negative else " + ") + body for negative, body in terms[1:])
 
 
 def format_cyc(c: CycNum) -> str:
     """Canonical polynomial in q, ascending powers: e.g. '1 - 2*q + q^2'."""
-    terms = _poly_terms(c)
-    if not terms:
-        return "0"
-    parts = []
-    for i, (coeff, k) in enumerate(terms):
-        mag = -coeff if coeff < 0 else coeff
-        if k == 0:
-            body = str(mag)
-        else:
-            qs = "q" if k == 1 else f"q^{k}"
-            body = qs if mag == 1 else f"{mag}*{qs}"
-        if i == 0:
-            parts.append(("-" if coeff < 0 else "") + body)
-        else:
-            parts.append((" - " if coeff < 0 else " + ") + body)
-    return "".join(parts)
+    terms = [_poly_term(coeff, k) for k, coeff in enumerate(c.coeffs) if coeff]
+    return _signed_sum(terms) if terms else "0"
 
 
 def _format_monomial(params: AlgebraParams, mono: tuple[int, int, int]) -> str:
@@ -353,34 +351,15 @@ def format_element(elem: AlgElement) -> str:
     rendered = []
     for mono, coeff in elem.items():
         ms = _format_monomial(elem.params, mono)
-        terms = _poly_terms(coeff)
+        terms = [(c, k) for k, c in enumerate(coeff.coeffs) if c]
         if len(terms) == 1:
-            frac, k = terms[0]
-            negative = frac < 0
-            mag = -frac if negative else frac
-            if k == 0:
-                cs = str(mag)
-            else:
-                qs = "q" if k == 1 else f"q^{k}"
-                cs = qs if mag == 1 else f"{mag}*{qs}"
-            if ms == "1":
-                body = cs
-            elif cs == "1":
-                body = ms
-            else:
-                body = f"{cs}*{ms}"
+            negative, cs = _poly_term(*terms[0])
+            body = cs if ms == "1" else ms if cs == "1" else f"{cs}*{ms}"
         else:
-            negative = False
-            cs = f"({format_cyc(coeff)})"
+            negative, cs = False, f"({format_cyc(coeff)})"
             body = cs if ms == "1" else f"{cs}*{ms}"
         rendered.append((negative, body))
-    out = []
-    for i, (negative, body) in enumerate(rendered):
-        if i == 0:
-            out.append(("-" if negative else "") + body)
-        else:
-            out.append((" - " if negative else " + ") + body)
-    return "".join(out)
+    return _signed_sum(rendered)
 
 
 def element_to_json(elem: AlgElement) -> dict:

@@ -255,10 +255,6 @@ def gamma(u_elem: AlgElement, params: AlgebraParams) -> AlgElement:
     return AlgElement(params, out)
 
 
-def u_basis(uparams: AlgebraParams):
-    return basis_monomials(uparams)
-
-
 def is_coinvariant(x: AlgElement) -> bool:
     """Whether rho(x) = 1 (x) x."""
     expected = Tensor2(_cache(x.params).uparams, x.params,
@@ -288,7 +284,7 @@ def coinvariants(params: AlgebraParams, size_cap: int = 1000):
     basis: list[AlgElement] = []
     for label in basis_monomials(lower):
         monos = [tuple(low + top * d for low, d in zip(label, digits))
-                 for digits in u_basis(cache.uparams)]
+                 for digits in basis_monomials(cache.uparams)]
         columns = []
         for mono in monos:
             col = dict(cache.rho_mono(mono).terms)
@@ -325,7 +321,7 @@ def convolve(f, g, params: AlgebraParams) -> dict[Monomial, AlgElement]:
     the PBW basis of u."""
     cache = _cache(params)
     out: dict[Monomial, AlgElement] = {}
-    for mono in u_basis(cache.uparams):
+    for mono in basis_monomials(cache.uparams):
         acc = AlgElement.zero(params)
         for (u1, u2), coeff in cache.delta_mono(mono).terms.items():
             acc = acc + (f(u1) * g(u2)).scaled(coeff)
@@ -470,7 +466,7 @@ def hopf_axiom_check(params: AlgebraParams) -> dict:
         report["checks"][name] = {
             "instances": total, "failures": failures, "pass": not failures}
 
-    u_monos = list(u_basis(up))
+    u_monos = list(basis_monomials(up))
 
     def coassoc(mono):
         d = cache.delta_mono(mono)
@@ -541,7 +537,7 @@ def gamma_colinear(params: AlgebraParams) -> bool:
     """Whether rho(gamma(x)) = (id (x) gamma) Delta(x) on the whole u basis."""
     cache = _cache(params)
     up = cache.uparams
-    for mono in u_basis(up):
+    for mono in basis_monomials(up):
         x = AlgElement(up, {mono: params.field.one()})
         lhs = rho(gamma(x, params))
         rhs_terms: dict = {}

@@ -6,6 +6,11 @@ nonzero field elements, and elimination runs over dicts keyed by arbitrary
 hashable row labels.  No pivot-size heuristics are needed because every
 computation here is exact; rows are processed in sorted order so results
 are deterministic.
+
+Elimination keeps each pivot row as the relation it expresses on the
+kernel, x_pivot = sum_c tail[c] x_c, and stores only the tail: the leading
+entry, which would be normalized to 1, is never stored or multiplied by.
+The same sweep serves Q(lam) (`_acc`) and F_p (`_acc_mod`, `rank_mod_p`).
 """
 
 from __future__ import annotations
@@ -77,15 +82,15 @@ class Mat:
     __mul__ = __matmul__
 
     def pow(self, k: int) -> "Mat":
-        if self.nrows != self.ncols:
-            raise ValueError("powers need a square matrix")
-        result = Mat.identity(self.nrows, self.field)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base
-            k >>= 1
+        """The k-fold product self @ ... @ self (self itself for k = 1, the
+        identity for k = 0)."""
+        if self.nrows != self.ncols or k < 0:
+            raise ValueError("powers need a square matrix and k >= 0")
+        if k == 0:
+            return Mat.identity(self.nrows, self.field)
+        result = self
+        for _ in range(k - 1):
+            result = result @ self
         return result
 
     def matvec(self, vec: dict[int, CycNum]) -> dict[int, CycNum]:
@@ -116,42 +121,37 @@ class Mat:
     def __hash__(self):
         raise TypeError("Mat is unhashable")
 
-    def diagonal(self) -> list[CycNum]:
-        """The diagonal entries in order; ValueError if any other entry is nonzero."""
-        if any(r != c for r, c in self.entries):
-            raise ValueError("matrix is not diagonal")
-        return [self.get(i, i) for i in range(min(self.nrows, self.ncols))]
-
     def diagonal_inverse(self) -> "Mat":
         """Inverse of a diagonal matrix (used for K-generator matrices)."""
-        diag = self.diagonal()
+        if any(r != c for r, c in self.entries):
+            raise ValueError("matrix is not diagonal")
         if len(self.entries) != self.nrows:
             raise ZeroDivisionError("diagonal matrix has a zero entry")
         return Mat(self.nrows, self.ncols, self.field,
-                   {(i, i): v.inverse() for i, v in enumerate(diag)})
+                   {(i, i): self.entries[(i, i)].inverse() for i in range(self.nrows)})
 
 
-def _reduce_row(row: dict, pivot_rows: dict) -> dict:
-    """Eliminate every pivot column from `row` (ascending; pivots only add
-    entries to the right of the column being cleared, so one sweep suffices)."""
-    done = -1
-    while True:
-        nxt = min((c for c in row if c > done and c in pivot_rows), default=None)
-        if nxt is None:
-            return row
-        done = nxt
-        factor = row.pop(nxt)
-        pivot = pivot_rows[nxt]
-        if len(pivot) > 1:  # more than its leading 1: negate once per pivot
-            factor = -factor
-            for c, v in pivot.items():
-                if c != nxt:
-                    _acc(row, c, factor * v)
+def _reduce_row(row: dict, pivot_rows: dict, acc=_acc, *ring) -> dict:
+    """Eliminate every pivot column from `row`, smallest first, with the
+    sparse accumulate `acc` of the coefficient ring (extra arguments `ring`).
+
+    A pivot row is stored as its tail t, the relation x_pivot = sum t[c] x_c,
+    so clearing the pivot's entry f adds f * t[c] at each c.  Every c is
+    right of the pivot, so one ascending sweep clears the row."""
+    while hits := [c for c in row if c in pivot_rows]:
+        pivot = min(hits)
+        factor = row.pop(pivot)
+        for c, t in pivot_rows[pivot].items():
+            acc(row, c, factor * t, *ring)
+    return row
 
 
 def _echelon(columns: list[dict], field: CycField):
-    """Normalized echelon rows, keyed by pivot column, for the matrix whose
-    i-th column is columns[i]."""
+    """Echelon form of the matrix whose i-th column is columns[i], as a dict
+    from pivot column to the tail of its row: a row with leading entry a at
+    column j and entries v_c right of it is stored as {c: -v_c / a}, so that
+    x_j = sum_c tail[c] x_c on the kernel.  The leading 1 is never stored,
+    and a row with no tail needs no inverse."""
     rows: dict = {}
     for idx, col in enumerate(columns):
         for key, val in col.items():
@@ -162,8 +162,11 @@ def _echelon(columns: list[dict], field: CycField):
         row = _reduce_row(rows[key], pivot_rows)
         if row:
             lead = min(row)
-            inv = row[lead].inverse()
-            pivot_rows[lead] = {c: v * inv for c, v in row.items()}
+            lead_val = row.pop(lead)
+            if row:
+                scale = -lead_val.inverse()
+                row = {c: v * scale for c, v in row.items()}
+            pivot_rows[lead] = row
     return pivot_rows
 
 
@@ -172,25 +175,20 @@ def rank_of_columns(columns: list[dict], field: CycField) -> int:
 
 
 def nullspace_of_columns(columns: list[dict], field: CycField) -> list[dict[int, CycNum]]:
-    """Basis of {x : sum_i x_i * columns[i] = 0}, one vector per free column."""
+    """Basis of {x : sum_i x_i * columns[i] = 0}, one vector per free column:
+    x_free = 1, the other free coordinates 0, and each pivot coordinate
+    x_pivot = sum tail[c] x_c, read from the last pivot back."""
     pivot_rows = _echelon(columns, field)
-    pivot_cols = set(pivot_rows)
     basis: list[dict[int, CycNum]] = []
     for free in range(len(columns)):
-        if free in pivot_cols:
+        if free in pivot_rows:
             continue
         vec: dict[int, CycNum] = {free: field.one()}
         for pc in sorted(pivot_rows, reverse=True):
-            row = pivot_rows[pc]
-            acc = field.zero()
-            for c, v in row.items():
-                if c == pc:
-                    continue
+            for c, t in pivot_rows[pc].items():
                 x = vec.get(c)
                 if x is not None:
-                    acc = acc + v * x
-            if not acc.is_zero():
-                vec[pc] = -acc
+                    _acc(vec, pc, t * x)
         basis.append(vec)
     return basis
 
@@ -218,27 +216,16 @@ def _acc_mod(store: dict, key, value: int, p: int) -> None:
 
 
 def rank_mod_p(rows, p: int, stop_at: int | None = None) -> int:
-    """Rank over F_p of sparse integer rows (dicts key->value), with early stop."""
+    """Rank over F_p of sparse integer rows (dicts key->value, any sortable
+    keys), with early stop; pivot rows are kept as tails, as in `_echelon`."""
     pivots: dict = {}
-    rank = 0
     for row in rows:
-        work = {k: v % p for k, v in row.items() if v % p}
-        done = None
-        while True:
-            nxt = min((c for c in work if (done is None or c > done) and c in pivots),
-                      default=None)
-            if nxt is None:
-                break
-            done = nxt
-            factor = -work.pop(nxt)
-            for c, v in pivots[nxt].items():
-                if c != nxt:
-                    _acc_mod(work, c, factor * v, p)
+        work = _reduce_row({k: v % p for k, v in row.items() if v % p},
+                           pivots, _acc_mod, p)
         if work:
             lead = min(work)
-            inv = pow(work[lead], -1, p)
-            pivots[lead] = {c: v * inv % p for c, v in work.items()}
-            rank += 1
-            if stop_at is not None and rank >= stop_at:
-                return rank
-    return rank
+            scale = -pow(work.pop(lead), -1, p)
+            pivots[lead] = {c: v * scale % p for c, v in work.items()}
+            if stop_at is not None and len(pivots) >= stop_at:
+                break
+    return len(pivots)

@@ -24,7 +24,7 @@ import operator
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import (AlgebraParams, AlgElement, GeneratorId, uq_params)
-from .cyclotomic import CycNum
+from .cyclotomic import CycField, CycNum
 from .linalg import Mat, nullspace_of_columns
 from .qcomb import q_factorial, q_int, to_digits
 
@@ -142,42 +142,40 @@ def trivial_rep(params: AlgebraParams) -> ModuleRep:
     return ModuleRep(params, 1, action, (0,))
 
 
-def divided_power_matrix(rep: ModuleRep, kind: str, m: int) -> Mat:
-    """Matrix of E^(m) or F^(m) (per-level powers divided by q-factorials)."""
+@functools.lru_cache(maxsize=None)
+def _inverse_q_factorial(field: CycField, d: int) -> CycNum:
+    return q_factorial(field, d).inverse()
+
+
+def _digit_factors(rep: ModuleRep, kind: str, m: int) -> list[Mat]:
+    """One matrix per nonzero ell-adic digit d of m at level i: K[i]^d for
+    kind "K", and the divided power E[i]^d/[d]! or F[i]^d/[d]! otherwise."""
     field = rep.params.field
-    result = Mat.identity(rep.dim, field)
-    rest = m
-    i = 0
-    while rest:
-        rest, digit = divmod(rest, rep.params.ell)
-        if digit:
-            block = rep.mat(kind, i).pow(digit)
-            block = block.scaled(q_factorial(field, digit).inverse())
-            result = result @ block
-        i += 1
-    return result
+    factors = []
+    for i, d in enumerate(to_digits(m, rep.params.ell)):
+        if d:
+            power = rep.mat(kind, i).pow(d)
+            factors.append(power if kind == "K" or d == 1  # [1]! = 1
+                           else power.scaled(_inverse_q_factorial(field, d)))
+    return factors
 
 
-def k_monomial_matrix(rep: ModuleRep, n: int) -> Mat:
-    """Diagonal matrix of K^(n) = prod_i K[i]^(n_i), multiplied out entry by
-    entry from the diagonals of the K[i] (ValueError if one is not diagonal)."""
-    factors = []  # the diagonal of K[i], once for each unit of the digit n_i
-    for i, digit in enumerate(to_digits(n, rep.params.ell)):
-        if digit:
-            factors += [rep.mat("K", i).diagonal()] * digit
+def _product(rep: ModuleRep, factors: list[Mat]) -> Mat:
     if not factors:
         return Mat.identity(rep.dim, rep.params.field)
-    result = Mat.zero(rep.dim, rep.dim, rep.params.field)
-    for r, values in enumerate(zip(*factors)):
-        result.set(r, r, functools.reduce(operator.mul, values))
-    return result
+    return functools.reduce(operator.matmul, factors)
+
+
+def divided_power_matrix(rep: ModuleRep, kind: str, m: int) -> Mat:
+    """Matrix of E^(m) or F^(m) (per-level powers divided by q-factorials)."""
+    return _product(rep, _digit_factors(rep, kind, m))
 
 
 def monomial_matrix(rep: ModuleRep, mono: tuple[int, int, int]) -> Mat:
+    """Matrix of F^(m) K^n E^(p): the product of its nonzero digit factors."""
     m, n, p = mono
-    return (divided_power_matrix(rep, "F", m)
-            @ k_monomial_matrix(rep, n)
-            @ divided_power_matrix(rep, "E", p))
+    return _product(rep, _digit_factors(rep, "F", m) + _digit_factors(rep, "K", n)
+                    + _digit_factors(rep, "E", p))
 
 
 def element_matrix(rep: ModuleRep, x: AlgElement) -> Mat:
@@ -364,7 +362,7 @@ def steinberg_intertwiner(params: AlgebraParams, p: int) -> SteinbergResult:
                 f_mat = right.mat("F", i)
                 for _ in range(digit):
                     vec = f_mat.matvec(vec)
-                inv = q_factorial(field, digit).inverse()
+                inv = _inverse_q_factorial(field, digit)
                 vec = {r: v * inv for r, v in vec.items()}
             i += 1
         columns.append(vec)

@@ -14,13 +14,13 @@ import time
 import pytest
 
 from qsl2.algebra import (AlgebraParams, AlgElement, all_residues_zero,
-                          divided_power, generator, k_binom_element,
-                          relation_residues, uq_params)
+                          basis_monomials, divided_power, generator,
+                          k_binom_element, relation_residues, uq_params)
 from qsl2.cyclotomic import CycField
 from qsl2.exprs import ast_to_string, parse_expr
 from qsl2.hopf import (coinvariants, convolution_inverse, convolve, gamma,
                        gamma_colinear, hopf_axiom_check, is_coinvariant,
-                       u_basis, unit_counit_map)
+                       unit_counit_map)
 from qsl2.hyperalgebra import (HypParams, erratum_report, frobenius_pi,
                                hyp_basis, hyp_monomial, hyp_multiply,
                                kernel_dimensions, xy_normal_order)
@@ -126,7 +126,7 @@ def test_criterion_06_cleft_extension():
     params = AlgebraParams(3, 1)
     basis, report = coinvariants(params)
     assert report["dimension"] == 27
-    from qsl2.algebra import basis_monomials, inclusion_iota
+    from qsl2.algebra import inclusion_iota
     lower = uq_params(3)
     iota_ok = all(
         is_coinvariant(inclusion_iota(
@@ -145,7 +145,7 @@ def test_criterion_06_cleft_extension():
         ident = unit_counit_map(p)
         left = convolve(gmap, ginv, p)
         right = convolve(ginv, gmap, p)
-        for mono in u_basis(uparams):
+        for mono in basis_monomials(uparams):
             assert left[mono] == ident(mono), (ell, mono)
             assert right[mono] == ident(mono), (ell, mono)
     verdict(6, True, "coinvariants = iota image (dim 27) at (3,1); section "

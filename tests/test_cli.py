@@ -191,6 +191,20 @@ def test_invalid_env_exits_2(monkeypatch, capsys, name, value):
     assert name in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "qbinom", "--ell", "5", "--samples", "0"], "--samples"),
+    (["verify", "charp", "--p", "3", "--k", "1", "--samples", "-3"], "--samples"),
+    (["verify", "hopf", "--cap", "-1"], "--cap"),
+    (["verify", "relations", "--cap", "0"], "--cap")],
+    ids=["qbinom-samples-0", "charp-samples-minus-3", "hopf-cap-minus-1",
+         "relations-cap-0"])
+def test_non_positive_samples_or_cap_exits_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["nf", "E[0]*F[0]", "--format", "csv"],
     ["verify", "relations", "--format", "csv"]])

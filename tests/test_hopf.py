@@ -3,11 +3,12 @@ import random
 import pytest
 
 from qsl2 import hopf
-from qsl2.algebra import (AlgebraParams, AlgElement, generator, uq_params)
+from qsl2.algebra import (AlgebraParams, AlgElement, basis_monomials,
+                          generator, uq_params)
 from qsl2.errors import ResourceCapError
 from qsl2.hopf import (Tensor2, coinvariants, convolution_inverse, convolve,
                        element_inverse, gamma, gamma_colinear,
-                       hopf_axiom_check, is_coinvariant, rho, u_basis,
+                       hopf_axiom_check, is_coinvariant, rho,
                        unit_counit_map, uq_antipode, uq_coproduct)
 from qsl2.qcomb import q_factorial, q_int
 
@@ -96,7 +97,7 @@ def test_coinvariants_dimension_and_span():
     p = AlgebraParams(3, 1)
     basis, report = coinvariants(p)
     assert report["dimension"] == 27
-    from qsl2.algebra import basis_monomials, inclusion_iota
+    from qsl2.algebra import inclusion_iota
     lower = uq_params(3)
     for mono in basis_monomials(lower):
         x = inclusion_iota(AlgElement(lower, {mono: p.field.one()}), 1)
@@ -148,7 +149,7 @@ def test_convolution_identity_is_self_inverse():
     p = AlgebraParams(3, 1)
     ident = unit_counit_map(p)
     inv = convolution_inverse(ident, p)
-    for mono in u_basis(uq_params(3)):
+    for mono in basis_monomials(uq_params(3)):
         assert inv(mono) == ident(mono)
 
 
@@ -167,7 +168,7 @@ def test_cleaving_map_convolution_inverse():
     ident = unit_counit_map(p)
     left = convolve(gmap, ginv, p)
     right = convolve(ginv, gmap, p)
-    for mono in u_basis(u):
+    for mono in basis_monomials(u):
         assert left[mono] == ident(mono)
         assert right[mono] == ident(mono)
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qsl2.cyclotomic import CycField
+from qsl2.cyclotomic import CycField, CycNum
 from qsl2.linalg import (Mat, nullspace_of_columns, rank_mod_p,
                          rank_of_columns, solve_columns)
 
@@ -98,3 +98,59 @@ def test_rank_mod_p():
     assert rank_mod_p(rows, 3) == 2
     assert rank_mod_p(rows, 3, stop_at=1) == 1
     assert rank_mod_p([{0: 3}], 3) == 0
+
+
+def test_nullspace_of_pivots_without_tails_takes_no_inverse(monkeypatch):
+    field = CycField(5)
+    # A diagonal system with entries 2, 3 and 5, and a zero (so dependent)
+    # fourth column: every pivot row is its leading entry alone.
+    cols = [{0: field.rational(2)}, {1: field.rational(3)},
+            {2: field.rational(5)}, {}]
+    inverse, calls = CycNum.inverse, []
+
+    def counted(x):
+        calls.append(x)
+        return inverse(x)
+
+    monkeypatch.setattr(CycNum, "inverse", counted)
+    assert nullspace_of_columns(cols, field) == [{3: field.one()}]
+    assert calls == []
+    # With the fourth column c0 + c1 + c2, each pivot row has a tail.
+    cols[3] = {0: field.rational(2), 1: field.rational(3), 2: field.rational(5)}
+    minus_one = field.rational(-1)
+    assert nullspace_of_columns(cols, field) == [
+        {3: field.one(), 2: minus_one, 1: minus_one, 0: minus_one}]
+    assert len(calls) == 3
+
+
+def _dense_rank_mod_p(rows, p, ncols):
+    matrix = [[row.get(c, 0) % p for c in range(ncols)] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        inv = pow(matrix[rank][col], -1, p)
+        for r in range(len(matrix)):
+            if r != rank and matrix[r][col]:
+                f = matrix[r][col] * inv
+                matrix[r] = [(x - f * y) % p for x, y in zip(matrix[r], matrix[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_rank_mod_p_matches_dense_elimination(p):
+    rng = random.Random(p)
+    for trial in range(40):
+        ncols = rng.randint(1, 8)
+        rows = [{c: rng.randint(-9, 9) for c in range(ncols) if rng.random() < 0.5}
+                for _ in range(rng.randint(0, 10))]
+        rank = _dense_rank_mod_p(rows, p, ncols)
+        assert rank_mod_p(rows, p) == rank
+        # Any sortable keys: the same rows with tuple keys in the same order.
+        tupled = [{divmod(c, 3): v for c, v in row.items()} for row in rows]
+        assert rank_mod_p(iter(tupled), p) == rank
+        for stop_at in range(1, rank + 2):
+            assert rank_mod_p(rows, p, stop_at=stop_at) == min(rank, stop_at)

@@ -2,14 +2,18 @@ import random
 
 import pytest
 
-from qsl2.algebra import AlgebraParams, AlgElement, generator, uq_params
-from qsl2.modules import (ModuleRep, SteinbergError, character,
+from qsl2 import modules
+from qsl2.algebra import (AlgebraParams, AlgElement, basis_monomials,
+                          generator, uq_params)
+from qsl2.cyclotomic import CycNum
+from qsl2.linalg import Mat
+from qsl2.modules import (SteinbergError, character,
                           divided_power_matrix, element_matrix,
-                          extend_by_trivial_top, k_monomial_matrix,
-                          monomial_matrix, primitive_vectors, pullback_via_pi,
+                          extend_by_trivial_top, monomial_matrix,
+                          primitive_vectors, pullback_via_pi,
                           rep_relation_check, simple, steinberg_intertwiner,
                           tensor_rep, trivial_rep, uq_simple, verma)
-from qsl2.qcomb import q_binom, q_int, to_digits
+from qsl2.qcomb import q_binom, q_factorial, q_int, to_digits
 
 
 def all_zero(report):
@@ -231,19 +235,47 @@ def test_element_matrix_is_multiplicative():
             monomial_matrix(rep, a) @ monomial_matrix(rep, b)
 
 
-def test_k_monomial_matrix_is_the_product_of_k_powers():
+def test_monomial_matrix_multiplies_only_nonzero_digit_factors(monkeypatch):
     p = AlgebraParams(3, 1)
+    field = p.field
+    rep = verma(p, 5)
+
+    def reference(mono):
+        out = Mat.identity(rep.dim, field)
+        for kind, value in zip("FKE", mono):
+            for i, d in enumerate(to_digits(value, 3, 2)):
+                factor = rep.mat(kind, i).pow(d)
+                if kind != "K":
+                    factor = factor.scaled(q_factorial(field, d).inverse())
+                out = out @ factor
+        return out
+
+    monos = list(basis_monomials(p))
+    expected = [reference(mono) for mono in monos]
+    identity = Mat.identity(rep.dim, field)
+    matmul, inverse = Mat.__matmul__, CycNum.inverse
+    identity_operands, inverses = [], []
+
+    def counted_matmul(a, b):
+        if a == identity or b == identity:
+            identity_operands.append((a, b))
+        return matmul(a, b)
+
+    def counted_inverse(x):
+        inverses.append(x)
+        return inverse(x)
+
+    modules._inverse_q_factorial.cache_clear()
+    monkeypatch.setattr(Mat, "__matmul__", counted_matmul)
+    monkeypatch.setattr(CycNum, "inverse", counted_inverse)
+    got = [monomial_matrix(rep, mono) for mono in monos]
+    monkeypatch.undo()
+    assert got == expected
+    assert not identity_operands
+    assert len(inverses) <= p.ell - 1
+
+    # K^n alone is the product of the K[i] powers, also on a simple module.
     rep = simple(p, 7)
     for n in range(9):
         expected = rep.mat("K", 0).pow(n % 3) @ rep.mat("K", 1).pow(n // 3)
-        assert k_monomial_matrix(rep, n) == expected
-
-
-def test_k_monomial_matrix_refuses_a_non_diagonal_k():
-    p = uq_params(3)
-    rep = verma(p, 2)
-    bad = ModuleRep(p, rep.dim, dict(rep.action), rep.basis_labels)
-    bad.action[("K", 0)] = rep.mat("F", 0)
-    assert k_monomial_matrix(bad, 0) == k_monomial_matrix(rep, 0)
-    with pytest.raises(ValueError, match="not diagonal"):
-        k_monomial_matrix(bad, 1)
+        assert monomial_matrix(rep, (0, n, 0)) == expected
