@@ -1,11 +1,15 @@
 """Exact arithmetic in the cyclotomic field Q(lam), lam a primitive root of unity.
 
 A field element is the canonical residue of a rational polynomial modulo the
-n-th cyclotomic polynomial, stored as a coefficient tuple of length
-deg(Phi_n) = phi(n).  Two elements are equal iff their tuples are equal, so
-canonical form doubles as an equality test.  Everything is exact: the
-coefficient type is `fractions.Fraction` and no floating point appears
-anywhere in this package.
+n-th cyclotomic polynomial, of degree below deg(Phi_n) = phi(n).  It is
+stored as a tuple of phi(n) integer numerators over one positive common
+denominator, in canonical form: the content gcd(den, *num) is 1, so the sign
+sits on the numerators and zero is all-zero numerators over 1.  An element
+has exactly one such form (den is the lcm of its coefficients' reduced
+denominators), so equality and hashing are plain tuple comparisons, and
+sums and products need only integer arithmetic and gcds.  `coeffs` gives
+the coefficients as `fractions.Fraction`; `inverse` still runs its Euclid
+over Fractions.  No floating point appears anywhere in this package.
 
 The distinguished root `lam` of a :class:`CycField` is x^r where r is the
 field's root exponent (coprime to the order).  The default r = 1 picks the
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,66 +99,130 @@ def _power_residues(order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@functools.lru_cache(maxsize=None)
+def _reduction_rows(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For deg <= k <= 2*deg-2, the nonzero (i, c) of x^k mod Phi_order:
+    what a product's coefficient of x^k adds to its coefficients below deg."""
+    deg = _degree(order)
+    rows = _power_residues(order)
+    return tuple(tuple((i, c) for i, c in enumerate(rows[k]) if c)
+                 for k in range(deg, 2 * deg - 1))
+
+
+def _mismatch(a: "CycNum", b: "CycNum") -> FieldMismatchError:
+    return FieldMismatchError(f"cyclotomic orders differ: {a.order} vs {b.order}")
+
+
+_new = object.__new__
+
+
+def _make(order: int, num: tuple[int, ...], den: int) -> "CycNum":
+    """The element num/den; num and den must already be in canonical form."""
+    x = _new(CycNum)
+    x.order = order
+    x.num = num
+    x.den = den
+    return x
+
+
+def _reduced(order: int, num, den: int) -> "CycNum":
+    """The element num/den for den > 0, with the content gcd(den, *num) removed."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            return _make(order, tuple(n // g for n in num), den // g)
+    return _make(order, tuple(num), den)
+
+
+def _combine(a: "CycNum", b: "CycNum", op) -> "CycNum":
+    """a + b or a - b, for op operator.add or operator.sub."""
+    if a.order != b.order:
+        raise _mismatch(a, b)
+    da, db = a.den, b.den
+    if da == db:
+        return _reduced(a.order, tuple(map(op, a.num, b.num)), da)
+    g = math.gcd(da, db)
+    ma, mb = db // g, da // g
+    return _reduced(a.order, [op(x * ma, y * mb) for x, y in zip(a.num, b.num)], da * ma)
+
+
+def _is_rational(value) -> bool:
+    return isinstance(value, (int, Fraction))
+
+
 class CycNum:
-    """An element of Q[x]/(Phi_order), in canonical reduced form."""
+    """An element of Q[x]/(Phi_order), in canonical reduced form: the integer
+    numerators `num` of its coefficients over one common denominator `den`."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
-    def __init__(self, order: int, coeffs: tuple[Fraction, ...]):
+    def __init__(self, order: int, coeffs):
+        deg = _degree(order)
+        if len(coeffs) != deg:
+            raise ValueError(
+                f"an element of Q(zeta_{order}) has {deg} coefficients, got {len(coeffs)}")
+        for c in coeffs:
+            if not _is_rational(c):
+                raise TypeError(
+                    f"coefficients must be int or Fraction, got {type(c).__name__}")
+        # The lcm of the reduced denominators leaves no common content.
+        den = math.lcm(*(c.denominator for c in coeffs))
         self.order = order
-        self.coeffs = coeffs
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of 1, x, ..., x^(deg-1) as Fractions."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
 
     @staticmethod
     def from_rational(order: int, value) -> "CycNum":
-        deg = _degree(order)
-        c = [Fraction(0)] * deg
-        c[0] = Fraction(value)
-        return CycNum(order, tuple(c))
-
-    def _check(self, other: "CycNum") -> None:
-        if self.order != other.order:
-            raise FieldMismatchError(
-                f"cyclotomic orders differ: {self.order} vs {other.order}")
+        if not _is_rational(value):
+            raise TypeError(f"a rational must be int or Fraction, got {type(value).__name__}")
+        return _make(order, (value.numerator,) + (0,) * (_degree(order) - 1),
+                     value.denominator)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
+    # Two methods, not one aliased to the other, so that a wrapper around
+    # either one sees only its own calls.
     def __add__(self, other: "CycNum") -> "CycNum":
-        self._check(other)
-        return CycNum(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _combine(self, other, operator.add)
 
     def __sub__(self, other: "CycNum") -> "CycNum":
-        self._check(other)
-        return CycNum(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _combine(self, other, operator.sub)
 
     def __neg__(self) -> "CycNum":
-        return CycNum(self.order, tuple(-a for a in self.coeffs))
+        return _make(self.order, tuple(-n for n in self.num), self.den)
 
     def __mul__(self, other) -> "CycNum":
-        if isinstance(other, (int, Fraction)):
-            return CycNum(self.order, tuple(a * other for a in self.coeffs))
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
+        if other.__class__ is not CycNum:
+            if _is_rational(other):
+                return _reduced(self.order, [n * other.numerator for n in self.num],
+                                self.den * other.denominator)
+            return NotImplemented
+        if self.order != other.order:
+            raise _mismatch(self, other)
+        a = self.num
+        b = [(j, bj) for j, bj in enumerate(other.num) if bj]
         deg = len(a)
-        conv = [Fraction(0)] * (2 * deg - 1)
+        conv = [0] * (2 * deg - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = list(conv[:deg])
-        rows = _power_residues(self.order)
-        for k in range(deg, 2 * deg - 1):
-            ck = conv[k]
+                for j, bj in b:
+                    conv[i + j] += ai * bj
+        out = conv[:deg]
+        for ck, row in zip(conv[deg:], _reduction_rows(self.order)):
             if ck:
-                row = rows[k]
-                for i in range(deg):
-                    if row[i]:
-                        out[i] += ck * row[i]
-        return CycNum(self.order, tuple(out))
+                for i, c in row:
+                    out[i] += ck * c
+        return _reduced(self.order, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -161,8 +230,9 @@ class CycNum:
         """Multiplicative inverse, by the extended Euclidean algorithm mod Phi."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
+        coeffs = self.coeffs
         phi = tuple(Fraction(c) for c in cyclotomic_polynomial(self.order))
-        r0, r1 = phi, _trim(self.coeffs)
+        r0, r1 = phi, _trim(coeffs)
         s0: tuple[Fraction, ...] = (Fraction(0),)
         s1: tuple[Fraction, ...] = (Fraction(1),)
         while _poly_deg(r1) > 0:
@@ -172,7 +242,7 @@ class CycNum:
         # r1 is a nonzero constant: gcd(self, Phi) up to scale
         scale = Fraction(1) / r1[0]
         inv = tuple(c * scale for c in s1)
-        deg = len(self.coeffs)
+        deg = len(coeffs)
         padded = list(inv) + [Fraction(0)] * (2 * deg)
         out = list(padded[:deg])
         rows = _power_residues(self.order)
@@ -201,10 +271,10 @@ class CycNum:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycNum):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.num, self.den))
 
     def __repr__(self) -> str:
         return f"CycNum({self.order}, {self.coeffs!r})"
@@ -301,5 +371,4 @@ class CycField:
 
 @functools.lru_cache(maxsize=None)
 def _lambda_pow_cached(order: int, e: int) -> CycNum:
-    rows = _power_residues(order)
-    return CycNum(order, tuple(Fraction(c) for c in rows[e]))
+    return _make(order, _power_residues(order)[e], 1)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -93,16 +94,90 @@ def test_order_mismatch():
         CycField(3).one() + CycField(5).one()
 
 
-@given(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9),
-       st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
-def test_field_axioms(a1, b1, c1, e1, e2, e3):
-    field = CycField(9)
-    a = field.rational(a1) * field.lambda_pow(e1)
-    b = field.rational(b1) * field.lambda_pow(e2)
-    c = field.rational(c1) * field.lambda_pow(e3)
+def ref_mul(order, a, b):
+    """The Fraction-tuple multiply that CycNum used before it stored integer
+    numerators over a common denominator, the reference for its arithmetic:
+    convolve, then reduce mod Phi_order by long division."""
+    phi = cyclotomic_polynomial(order)
+    deg = len(phi) - 1
+    out = list(poly_mul(a, b))
+    for k in range(len(out) - 1, deg - 1, -1):
+        top = out[k]
+        if top:
+            for i, c in enumerate(phi):
+                out[k - deg + i] -= top * c
+    return tuple(out[:deg])
+
+
+def ref_add(a, b, sign=1):
+    return tuple(x + sign * y for x, y in zip(a, b))
+
+
+def is_canonical(x):
+    return x.den > 0 and math.gcd(x.den, *x.num) == 1
+
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def elements(draw, order):
+    return CycNum(order, tuple(draw(rationals)
+                               for _ in range(CycField(order).degree)))
+
+
+@st.composite
+def triples(draw):
+    order = draw(st.sampled_from([3, 5, 7, 9]))
+    return draw(elements(order)), draw(elements(order)), draw(elements(order))
+
+
+@given(triples(), rationals)
+def test_field_axioms(abc, s):
+    a, b, c = abc
+    order = a.order
+    one = CycNum.from_rational(order, 1)
+    for x in (a, b, c, a + b, a * b, a - c):
+        assert is_canonical(x)
+        assert CycNum(order, x.coeffs) == x
+    assert (a + b).coeffs == ref_add(a.coeffs, b.coeffs)
+    assert (a - b).coeffs == ref_add(a.coeffs, b.coeffs, -1)
+    assert (a * b).coeffs == ref_mul(order, a.coeffs, b.coeffs)
+    assert (a * s).coeffs == (s * a).coeffs == tuple(x * s for x in a.coeffs)
+    assert (-a).coeffs == tuple(-x for x in a.coeffs)
+    assert (a == b) == (a.coeffs == b.coeffs)
     assert (a + b) + c == a + (b + c)
     assert a * (b + c) == a * b + a * c
-    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    if a:
+        assert ref_mul(order, a.coeffs, a.inverse().coeffs) == one.coeffs
+        assert a * a.inverse() == one
+    # one value built two ways has one stored form and one hash
+    for x, y in ((a * b, b * a), ((a + b) - b, a), (a * b + a * c, a * (b + c)),
+                 (a - a, CycNum.from_rational(order, 0))):
+        assert (x.num, x.den) == (y.num, y.den)
+        assert x == y and hash(x) == hash(y)
+
+
+def test_wrong_length_coefficients_raise():
+    with pytest.raises(ValueError):
+        CycNum(5, (1, 2)) + CycField(5).one()
+
+
+def test_float_rational_raises():
+    with pytest.raises(TypeError):
+        CycField(5).rational(0.1)
+    with pytest.raises(TypeError):
+        CycNum.from_rational(5, 0.5)
+    with pytest.raises(TypeError):
+        CycNum(5, (0.5, 0, 0, 0))
+
+
+def test_float_scalar_raises():
+    with pytest.raises(TypeError):
+        CycField(5).one() * 0.5
+    with pytest.raises(TypeError):
+        0.5 * CycField(5).one()
 
 
 def test_canonical_form_is_unique():
