@@ -1,7 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 desk-scale cap refusal.  Global options may also come from environment
+3 refusal by --cap (default 1000), which bounds one quantity per command:
+the module dimension ell^(N+1) for rep, the basis monomials checked,
+ell^(3(N+1)), for verify hopf, and the columns of one coinvariant block,
+ell^3, for verify cleft.  The other suites build nothing that grows with
+the basis and are not capped.  Global options may also come from environment
 variables QSL2_ELL, QSL2_N, QSL2_ROOT_EXPONENT, QSL2_FORMAT (precedence:
 flag, then environment, then default).  An invalid value, from a flag or
 from the environment, is a usage error.
@@ -55,8 +59,8 @@ def _int(value: str) -> int:
 
 
 def _positive_int(value: str) -> int:
-    # Zero samples would check nothing and still report PASS, and a cap
-    # below 1 refuses every size.
+    # Zero samples would check nothing and still report PASS, a cap below 1
+    # refuses every size, and charp's k = 0 has no level to lower to.
     number = _int(value)
     if number < 1:
         raise argparse.ArgumentTypeError(
@@ -88,8 +92,6 @@ def _common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", type=_format, choices=FORMATS,
                         default=_env("QSL2_FORMAT", "text"),
                         help="output format (csv: rep character only)")
-    parser.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
-                        help="desk-scale size cap for exact solves")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,28 +110,45 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("rep", help="representation computations")
     p_rep.add_argument("what", choices=("verma", "simple", "character", "steinberg"))
-    p_rep.add_argument("--z", type=int, default=None, help="highest weight")
-    p_rep.add_argument("--p", type=int, default=None, help="highest weight")
+    weight = p_rep.add_mutually_exclusive_group(required=True)
+    weight.add_argument("--z", type=int, dest="weight", help="highest weight")
+    weight.add_argument("--p", type=int, dest="weight", help="highest weight")
     p_rep.add_argument("--module", choices=("simple", "verma"), default="simple",
                        help="which module a character table describes")
     p_rep.add_argument("--dump-matrix", action="store_true",
                        help="print the intertwiner entries")
+    p_rep.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
+                       help="refuse a module dimension ell^(N+1) above this "
+                       f"(default {DEFAULT_CAP})")
     _common_options(p_rep)
 
     p_ver = sub.add_parser("verify", help="verification suites")
     p_ver.add_argument("suite",
                        choices=("relations", "hopf", "cleft", "charp", "qbinom"))
     p_ver.add_argument("--p", type=int, default=3, help="prime for charp")
-    p_ver.add_argument("--k", type=int, default=1, help="level index for charp")
+    p_ver.add_argument("--k", type=_positive_int, default=1,
+                       help="level index for charp")
     p_ver.add_argument("--samples", type=_positive_int, default=10000,
                        help="sample count for randomized suites")
     p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
+                       help="refuse hopf above this many basis monomials, "
+                       "ell^(3(N+1)), and cleft above this many columns in "
+                       f"one coinvariant block, ell^3 (default {DEFAULT_CAP})")
     _common_options(p_ver)
     return parser
 
 
 def _params(args) -> AlgebraParams:
     return AlgebraParams(args.ell, args.level, args.root_exponent)
+
+
+def _check_cap(args, quantity: str, value: int) -> None:
+    """Refuse, with exit code 3, a run whose `quantity` exceeds --cap."""
+    if value > args.cap:
+        raise ResourceCapError(
+            f"{quantity} {value} at (ell, N) = ({args.ell}, {args.level}) "
+            f"is above --cap {args.cap}")
 
 
 def _emit(args, payload: dict, text_lines: list[str], out) -> None:
@@ -167,14 +186,8 @@ def _cmd_rep(args, out) -> int:
                           steinberg_intertwiner, verma)
 
     params = _params(args)
-    if params.bound ** 2 > args.cap * 10:
-        raise ResourceCapError(
-            f"module dimension {params.bound} above cap {args.cap} "
-            f"(raise --cap to proceed)")
-    weight = args.p if args.p is not None else args.z
-    if weight is None:
-        print("error: rep needs --p or --z", file=sys.stderr)
-        return 2
+    _check_cap(args, "module dimension", params.bound)
+    weight = args.weight
     if not 0 <= weight < params.bound:
         print(f"error: weight {weight} outside [0, {params.bound})",
               file=sys.stderr)
@@ -229,9 +242,6 @@ def _cmd_rep(args, out) -> int:
 
 def _verify_relations(args, out) -> int:
     params = _params(args)
-    if params.bound ** 2 > args.cap * 10:
-        raise ResourceCapError(
-            f"relation suite at dimension {params.bound} above cap {args.cap}")
     report = relation_residues(params)
     failures = [e for e in report if not e["zero"]]
     ok = not failures
@@ -248,9 +258,7 @@ def _verify_hopf(args, out) -> int:
     from .hopf import hopf_axiom_check
 
     params = _params(args)
-    if params.bound ** 3 > args.cap:
-        raise ResourceCapError(
-            f"hopf suite dimension {params.bound ** 3} above cap {args.cap}")
+    _check_cap(args, "basis monomials", params.bound ** 3)
     report = hopf_axiom_check(params)
     lines = []
     for name, chk in report["checks"].items():
@@ -270,7 +278,8 @@ def _verify_cleft(args, out) -> int:
     if params.level < 1:
         print("error: cleft verification needs --N >= 1", file=sys.stderr)
         return 2
-    basis, report = coinvariants(params, size_cap=args.cap)
+    _check_cap(args, "coinvariant block columns", params.ell ** 3)
+    basis, report = coinvariants(params)
     lower = AlgebraParams(params.ell, params.level - 1, params.root_exponent)
     iota_dim = lower.bound ** 3
     iota_inside = all(

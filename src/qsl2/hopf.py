@@ -33,8 +33,7 @@ from __future__ import annotations
 from .algebra import (AlgebraParams, AlgElement, Monomial, basis_monomials,
                       counit_eps, engine_for, generator, uq_params)
 from .cyclotomic import CycNum, _acc
-from .errors import ResourceCapError
-from .linalg import nullspace_of_columns, solve_columns
+from .linalg import nullspace_of_columns
 from .qcomb import q_factorial, q_int
 
 
@@ -112,13 +111,15 @@ class Tensor2:
 
 
 class _HopfCache:
-    """Per-(ell, root, level) tables of coproducts, coactions, and antipodes."""
+    """Per-(ell, root, level) tables of coproducts and antipodes, and the
+    coaction read off the coproduct table."""
 
     def __init__(self, params: AlgebraParams):
         self.dparams = params
         self.uparams = uq_params(params.ell, params.root_exponent)
         self.field = params.field
         self._delta: dict[Monomial, Tensor2] = {}
+        # Never written: rho_mono stores nothing.  bench/layers.py reads it.
         self._rho: dict[Monomial, Tensor2] = {}
         self._antipode: dict[Monomial, AlgElement] = {}
         self._delta_pows: dict[tuple[str, int], Tensor2] = {}
@@ -169,19 +170,17 @@ class _HopfCache:
         The monomial is (its low digits) * (its top digit) with coefficient
         1, since the levels commute; the low digits are coinvariant, so each
         right-hand factor of Delta(top digit) is moved into digit N and
-        merged with the untouched low digits.
+        merged with the untouched low digits.  Nothing is stored: each
+        result is a relabelling of a memoized `delta_mono`, and the
+        coinvariant solve reads each monomial about once.
         """
-        memo = self._rho.get(mono)
-        if memo is None:
-            top = self.dparams.ell ** self.dparams.level
-            (m_top, m_low), (n_top, n_low), (p_top, p_low) = (
-                divmod(x, top) for x in mono)
-            memo = Tensor2(self.uparams, self.dparams, {
-                (u, (m_low + a * top, n_low + b * top, p_low + c * top)): coeff
-                for (u, (a, b, c)), coeff
-                in self.delta_mono((m_top, n_top, p_top)).terms.items()})
-            self._rho[mono] = memo
-        return memo
+        top = self.dparams.ell ** self.dparams.level
+        (m_top, m_low), (n_top, n_low), (p_top, p_low) = (
+            divmod(x, top) for x in mono)
+        return Tensor2(self.uparams, self.dparams, {
+            (u, (m_low + a * top, n_low + b * top, p_low + c * top)): coeff
+            for (u, (a, b, c)), coeff
+            in self.delta_mono((m_top, n_top, p_top)).terms.items()})
 
     # -- antipode --------------------------------------------------------------
 
@@ -262,21 +261,19 @@ def is_coinvariant(x: AlgElement) -> bool:
     return rho(x) == expected
 
 
-def coinvariants(params: AlgebraParams, size_cap: int = 1000):
+def coinvariants(params: AlgebraParams):
     """Basis of {x : rho(x) = 1 (x) x}, by exact nullspace computation.
 
     rho changes only the top digit, so the solve splits into one block per
     low-digit label: a basis monomial (m, n, p) of the level-(N-1) algebra,
     whose block holds the ell^3 monomials (m, n, p) + ell^N (a, b, c).  The
     split is checked, not assumed: a column with a row outside its block
-    raises.  Returns (basis, report); the report carries the dimension count.
+    raises.  No system has more than ell^3 columns, whatever the level; the
+    CLI caps that number.  Returns (basis, report); the report carries the
+    dimension count.
     """
     if params.level < 1:
         raise ValueError("coinvariants need level >= 1")
-    dim = params.bound ** 3
-    if dim > size_cap:
-        raise ResourceCapError(
-            f"coinvariant solve needs dimension {dim}, above the cap {size_cap}")
     cache = _cache(params)
     field = params.field
     top = params.ell ** params.level
@@ -330,11 +327,12 @@ def convolve(f, g, params: AlgebraParams) -> dict[Monomial, AlgElement]:
 
 
 def element_inverse(a: AlgElement) -> AlgElement:
-    """Two-sided inverse of an algebra element, when one exists.
+    """Inverse of a nonzero scalar times a K monomial, by negating its digits.
 
-    Pure K-monomials invert by negating digits; otherwise an exact linear
-    solve of x * a = 1 runs over the full basis (desk scale only) and the
-    candidate is confirmed on both sides.
+    These are the only elements `convolution_inverse` inverts: f(K^b) is a K
+    monomial for the section gamma and for the unit-counit map.  An element
+    of counit zero has no inverse and raises ZeroDivisionError; any other
+    element raises ValueError.
     """
     params = a.params
     ell = params.ell
@@ -350,32 +348,16 @@ def element_inverse(a: AlgElement) -> AlgElement:
             return AlgElement.monomial(params, 0, inv_n, 0, coeff=coeff.inverse())
     if counit_eps(a).is_zero():
         raise ZeroDivisionError("element has counit zero, hence no inverse")
-    dim = params.bound ** 3
-    if dim > 4000:
-        raise ResourceCapError(
-            f"element inversion needs dimension {dim} at (ell, N) = "
-            f"({ell}, {params.level}), above the limit 4000")
-    monos = list(basis_monomials(params))
-    index = {mono: i for i, mono in enumerate(monos)}
-    columns = []
-    for mono in monos:
-        base = AlgElement(params, {mono: params.field.one()})
-        columns.append({index[m2]: c2 for m2, c2 in (base * a).terms.items()})
-    sol = solve_columns(columns, {index[(0, 0, 0)]: params.field.one()},
-                        params.field)
-    if sol is None:
-        raise ZeroDivisionError("element is not invertible")
-    x = AlgElement(params, {monos[i]: v for i, v in sol.items()})
-    if (a * x) != AlgElement.unit(params):
-        raise ZeroDivisionError("element has a one-sided inverse only")
-    return x
+    raise ValueError("element_inverse inverts only a nonzero scalar times "
+                     "a K monomial")
 
 
 def convolution_inverse(f, params: AlgebraParams):
     """Convolution inverse of a linear map from u to the level-N algebra.
 
     Solved triangularly along the coradical filtration: group-likes first
-    (f must be invertible there; the failing group-like is named otherwise),
+    (each f(K^b) must be a nonzero scalar times a K monomial, see
+    `element_inverse`; a group-like where f has counit zero is named),
     then increasing E/F-degree.  For x = F^(a) K^b E^(c), the coproduct has
     exactly one summand whose left factor is group-like, namely
     K^(b+c) (x) x itself; peeling it off determines the inverse on x from

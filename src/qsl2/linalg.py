@@ -193,18 +193,6 @@ def nullspace_of_columns(columns: list[dict], field: CycField) -> list[dict[int,
     return basis
 
 
-def solve_columns(columns: list[dict], target: dict, field: CycField) -> dict[int, CycNum] | None:
-    """One solution x of sum_i x_i columns[i] = target, or None if inconsistent."""
-    aug = columns + [{k: -v for k, v in target.items()}]
-    t = len(columns)
-    for vec in nullspace_of_columns(aug, field):
-        coef = vec.get(t)
-        if coef is not None and not coef.is_zero():
-            inv = coef.inverse()
-            return {c: v * inv for c, v in vec.items() if c != t}
-    return None
-
-
 def _acc_mod(store: dict, key, value: int, p: int) -> None:
     """The F_p twin of `_acc`: add value to store[key] mod p, dropping the
     key when the sum is zero."""

@@ -78,6 +78,12 @@ def test_verify_relations_golden():
     assert "30 instances, 0 nonzero" in out
 
 
+def test_verify_relations_has_no_cap():
+    code, out = run(["verify", "relations", "--ell", "3", "--N", "6"])
+    assert code == 0
+    assert out.endswith("PASS\n")
+
+
 def test_verify_cleft_golden():
     code, out = run(["verify", "cleft", "--ell", "3", "--N", "1"])
     assert code == 0
@@ -154,9 +160,40 @@ def test_out_of_range_weight_exits_2():
     assert code == 2
 
 
-def test_cap_exceeded_exits_3():
-    code, _ = run(["verify", "cleft", "--ell", "5", "--N", "1"])
+@pytest.mark.parametrize("argv", [
+    ["rep", "verma", "--z", "2", "--p", "1"],
+    ["rep", "verma"]], ids=["both", "neither"])
+def test_rep_takes_exactly_one_of_p_and_z(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--z" in err and "--p" in err
+
+
+def test_cap_exceeded_exits_3(capsys):
+    # One coinvariant block at ell = 11 has 11^3 columns.
+    code, out = run(["verify", "cleft", "--ell", "11", "--N", "1"])
     assert code == 3
+    assert out == ""
+    assert capsys.readouterr().err == (
+        "refused: coinvariant block columns 1331 at (ell, N) = (11, 1) "
+        "is above --cap 1000\n")
+
+
+@pytest.mark.parametrize("argv,refusal", [
+    (["rep", "verma", "--ell", "3", "--N", "6", "--p", "1"],
+     "module dimension 2187 at (ell, N) = (3, 6) is above --cap 1000"),
+    (["verify", "hopf", "--ell", "5", "--N", "1"],
+     "basis monomials 15625 at (ell, N) = (5, 1) is above --cap 1000"),
+    (["verify", "hopf", "--ell", "3", "--N", "1", "--cap", "500"],
+     "basis monomials 729 at (ell, N) = (3, 1) is above --cap 500")],
+    ids=["rep-3-6", "hopf-5-1", "hopf-3-1-cap-500"])
+def test_cap_refusal_names_quantity_value_point_and_cap(capsys, argv, refusal):
+    code, out = run(argv)
+    assert code == 3
+    assert out == ""
+    assert capsys.readouterr().err == f"refused: {refusal}\n"
 
 
 def test_verification_failure_exits_1(monkeypatch):
@@ -195,9 +232,10 @@ def test_invalid_env_exits_2(monkeypatch, capsys, name, value):
     (["verify", "qbinom", "--ell", "5", "--samples", "0"], "--samples"),
     (["verify", "charp", "--p", "3", "--k", "1", "--samples", "-3"], "--samples"),
     (["verify", "hopf", "--cap", "-1"], "--cap"),
-    (["verify", "relations", "--cap", "0"], "--cap")],
+    (["verify", "relations", "--cap", "0"], "--cap"),
+    (["verify", "charp", "--p", "3", "--k", "0"], "--k")],
     ids=["qbinom-samples-0", "charp-samples-minus-3", "hopf-cap-minus-1",
-         "relations-cap-0"])
+         "relations-cap-0", "charp-k-0"])
 def test_non_positive_samples_or_cap_exits_2(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
         run(argv)

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from qsl2.cyclotomic import CycField, CycNum
-from qsl2.linalg import (Mat, nullspace_of_columns, rank_mod_p,
-                         rank_of_columns, solve_columns)
+from qsl2.linalg import Mat, nullspace_of_columns, rank_mod_p, rank_of_columns
 
 
 def test_identity_and_product():
@@ -80,17 +79,6 @@ def test_nullspace_random_verified():
             for r, val in cols[idx].items():
                 acc[r] = acc.get(r, field.zero()) + v * val
         assert all(x.is_zero() for x in acc.values())
-
-
-def test_solve_columns():
-    field = CycField(3)
-    one = field.one()
-    cols = [{0: one, 1: one}, {1: one}]
-    sol = solve_columns(cols, {0: field.rational(2), 1: field.rational(3)}, field)
-    assert sol is not None
-    assert sol[0] == field.rational(2)
-    assert sol[1] == field.one()
-    assert solve_columns([{0: one}], {1: one}, field) is None
 
 
 def test_rank_mod_p():
