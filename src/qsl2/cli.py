@@ -5,10 +5,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 the module dimension ell^(N+1) for rep, the basis monomials checked,
 ell^(3(N+1)), for verify hopf, and the columns of one coinvariant block,
 ell^3, for verify cleft.  The other suites build nothing that grows with
-the basis and are not capped.  Global options may also come from environment
-variables QSL2_ELL, QSL2_N, QSL2_ROOT_EXPONENT, QSL2_FORMAT (precedence:
-flag, then environment, then default).  An invalid value, from a flag or
-from the environment, is a usage error.
+the basis, so they take no --cap, and giving them one is a usage error.
+Global options may also come from environment variables QSL2_ELL, QSL2_N,
+QSL2_ROOT_EXPONENT, QSL2_FORMAT (precedence: flag, then environment, then
+default).  An invalid value, from a flag or from the environment, is a
+usage error.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .hyperalgebra import (HypParams, erratum_report, erratum_text,
 from .qcomb import gen_q_binom
 
 DEFAULT_CAP = 1000
+CAPPED_SUITES = ("hopf", "cleft")
 FORMATS = ("text", "json", "csv")
 
 
@@ -131,10 +133,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--samples", type=_positive_int, default=10000,
                        help="sample count for randomized suites")
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
+    p_ver.add_argument("--cap", type=_positive_int, default=None,
                        help="refuse hopf above this many basis monomials, "
                        "ell^(3(N+1)), and cleft above this many columns in "
-                       f"one coinvariant block, ell^3 (default {DEFAULT_CAP})")
+                       f"one coinvariant block, ell^3 (default {DEFAULT_CAP}); "
+                       "the other suites take no --cap")
     _common_options(p_ver)
     return parser
 
@@ -145,10 +148,11 @@ def _params(args) -> AlgebraParams:
 
 def _check_cap(args, quantity: str, value: int) -> None:
     """Refuse, with exit code 3, a run whose `quantity` exceeds --cap."""
-    if value > args.cap:
+    cap = DEFAULT_CAP if args.cap is None else args.cap
+    if value > cap:
         raise ResourceCapError(
             f"{quantity} {value} at (ell, N) = ({args.ell}, {args.level}) "
-            f"is above --cap {args.cap}")
+            f"is above --cap {cap}")
 
 
 def _emit(args, payload: dict, text_lines: list[str], out) -> None:
@@ -327,13 +331,16 @@ def _verify_charp(args, out) -> int:
 
     total = params.bound ** 3
     low = HypParams(p, 1)
+    # The pairs are drawn as they are checked, not held in a list.
     if total * total <= 4096:
-        pairs = [(a, b) for a in range(total) for b in range(total)]
+        count = total * total
+        pairs = ((a, b) for a in range(total) for b in range(total))
         mode = "exhaustive"
     else:
-        pairs = [(rng.randrange(total), rng.randrange(total))
-                 for _ in range(args.samples)]
-        mode = f"sampled ({args.samples})"
+        count = args.samples
+        pairs = ((rng.randrange(total), rng.randrange(total))
+                 for _ in range(count))
+        mode = f"sampled ({count})"
 
     def unrank(i):
         b2 = params.bound
@@ -358,7 +365,7 @@ def _verify_charp(args, out) -> int:
     ok = bracket_ok and pi_ok and dims_ok
     lines = [
         f"bracket [X(1), Y(1)] == H(1): {'PASS' if bracket_ok else 'FAIL'}",
-        f"level-lowering map multiplicative on {len(pairs)} pairs ({mode}): "
+        f"level-lowering map multiplicative on {count} pairs ({mode}): "
         + ("PASS" if pi_ok else "FAIL"),
         f"kernel dim {dims['kernel_dim']} == p^(3(k+1)) - p^(3k) = "
         f"{dims['kernel_dim_expected']}: {'PASS' if dims['kernel_matches'] else 'FAIL'}",
@@ -418,6 +425,10 @@ def main(argv=None, out=None) -> int:
             != ("rep", "character"):
         print(f"error: --format csv{_source(args.format)} is supported "
               f"only by 'rep character'", file=sys.stderr)
+        return 2
+    if args.command == "verify" and args.cap is not None \
+            and args.suite not in CAPPED_SUITES:
+        print(f"error: verify {args.suite} takes no --cap", file=sys.stderr)
         return 2
     try:
         if args.command in ("nf", "mul"):

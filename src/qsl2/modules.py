@@ -1,8 +1,8 @@
 """Highest-weight representations of the level-N algebra.
 
-A representation is a dict of exact matrices, one per generator.  The
-universal highest-weight module of weight z has basis (v_t) indexed by
-0 <= t < ell^(N+1) and action
+A representation is a read-only mapping of exact matrices, one per
+generator.  The universal highest-weight module of weight z has basis (v_t)
+indexed by 0 <= t < ell^(N+1) and action
 
     E[i] v_t = [z_i + 1 - t_i] v_(t - ell^i)   (0 if t_i = 0)
     F[i] v_t = [t_i + 1] v_(t + ell^i)
@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import functools
 import operator
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import (AlgebraParams, AlgElement, GeneratorId, uq_params)
@@ -31,12 +33,23 @@ from .qcomb import q_factorial, q_int, to_digits
 
 @dataclass
 class ModuleRep:
-    """Exact generator matrices indexed by ("E"|"F"|"K", level)."""
+    """Exact generator matrices indexed by ("E"|"F"|"K", level).
+
+    The generator matrices never change after construction: `action` is a
+    read-only view, and nothing calls `Mat.set` on its matrices.  Every
+    construction below builds a new rep.  `_factors` memoizes the digit
+    factors of `_digit_factors` on that invariant; it takes no part in
+    equality or repr."""
 
     params: AlgebraParams
     dim: int
-    action: dict[GeneratorId, Mat]
+    action: Mapping[GeneratorId, Mat]
     basis_labels: tuple[int, ...]
+    _factors: dict[tuple[str, int, int], Mat] = dc_field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.action = types.MappingProxyType(dict(self.action))
 
     def mat(self, kind: str, i: int) -> Mat:
         if kind == "Kinv":
@@ -149,14 +162,22 @@ def _inverse_q_factorial(field: CycField, d: int) -> CycNum:
 
 def _digit_factors(rep: ModuleRep, kind: str, m: int) -> list[Mat]:
     """One matrix per nonzero ell-adic digit d of m at level i: K[i]^d for
-    kind "K", and the divided power E[i]^d/[d]! or F[i]^d/[d]! otherwise."""
-    field = rep.params.field
+    kind "K", and the divided power E[i]^d/[d]! or F[i]^d/[d]! otherwise.
+
+    Each factor is built once per rep and kept in `rep._factors` under
+    (kind, i, d); the generator matrices it comes from never change."""
+    memo = rep._factors
     factors = []
     for i, d in enumerate(to_digits(m, rep.params.ell)):
-        if d:
-            power = rep.mat(kind, i).pow(d)
-            factors.append(power if kind == "K" or d == 1  # [1]! = 1
-                           else power.scaled(_inverse_q_factorial(field, d)))
+        if not d:
+            continue
+        factor = memo.get((kind, i, d))
+        if factor is None:
+            factor = rep.mat(kind, i).pow(d)
+            if kind != "K" and d > 1:  # [1]! = 1
+                factor = factor.scaled(_inverse_q_factorial(rep.params.field, d))
+            memo[(kind, i, d)] = factor
+        factors.append(factor)
     return factors
 
 
@@ -167,12 +188,15 @@ def _product(rep: ModuleRep, factors: list[Mat]) -> Mat:
 
 
 def divided_power_matrix(rep: ModuleRep, kind: str, m: int) -> Mat:
-    """Matrix of E^(m) or F^(m) (per-level powers divided by q-factorials)."""
+    """Matrix of E^(m) or F^(m) (per-level powers divided by q-factorials).
+    Like `monomial_matrix`, it may return a shared matrix: read it only."""
     return _product(rep, _digit_factors(rep, kind, m))
 
 
 def monomial_matrix(rep: ModuleRep, mono: tuple[int, int, int]) -> Mat:
-    """Matrix of F^(m) K^n E^(p): the product of its nonzero digit factors."""
+    """Matrix of F^(m) K^n E^(p): the product of its memoized nonzero digit
+    factors.  The result may be shared with the rep (a generator matrix or a
+    stored factor, when only one digit is nonzero), so it is read-only."""
     m, n, p = mono
     return _product(rep, _digit_factors(rep, "F", m) + _digit_factors(rep, "K", n)
                     + _digit_factors(rep, "E", p))

@@ -36,11 +36,17 @@ def to_digits(value: int, base: int, width: int | None = None) -> tuple[int, ...
 
 
 @functools.lru_cache(maxsize=None)
+def _inverse_q_den(field: CycField, j: int) -> CycNum:
+    """1/(lam^j - lam^-j), the denominator shared by [m], the Gaussian
+    binomials and the K-binomials; j is nonzero mod ell."""
+    return (field.lambda_pow(j) - field.lambda_pow(-j)).inverse()
+
+
+@functools.lru_cache(maxsize=None)
 def q_int(field: CycField, m: int) -> CycNum:
     """[m] = (lam^m - lam^-m)/(lam - lam^-1); defined for every integer m."""
     num = field.lambda_pow(m) - field.lambda_pow(-m)
-    den = field.lam() - field.lambda_pow(-1)
-    return num * den.inverse()
+    return num * _inverse_q_den(field, 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -62,8 +68,7 @@ def q_binom(field: CycField, m: int, n: int) -> CycNum:
     result = field.one()
     for j in range(1, n + 1):
         num = field.lambda_pow(m - j + 1) - field.lambda_pow(j - 1 - m)
-        den = field.lambda_pow(j) - field.lambda_pow(-j)
-        result = result * num * den.inverse()
+        result = result * num * _inverse_q_den(field, j)
         if result.is_zero():
             break
     return result
@@ -100,7 +105,7 @@ def k_binom_laurent(field: CycField, s: int, a: int) -> dict[int, CycNum]:
         raise ValueError(f"K-binomial depth must lie in [0, {field.ell}), got {a}")
     terms: dict[int, CycNum] = {0: field.one()}
     for j in range(1, a + 1):
-        den_inv = (field.lambda_pow(j) - field.lambda_pow(-j)).inverse()
+        den_inv = _inverse_q_den(field, j)
         c_up = field.lambda_pow(s - j + 1) * den_inv
         c_down = -(field.lambda_pow(j - 1 - s) * den_inv)
         new: dict[int, CycNum] = {}

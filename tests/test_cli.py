@@ -84,6 +84,18 @@ def test_verify_relations_has_no_cap():
     assert out.endswith("PASS\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "relations", "--ell", "3", "--N", "6", "--cap", "1"],
+    ["verify", "charp", "--p", "2", "--k", "1", "--cap", "5000"],
+    ["verify", "qbinom", "--ell", "3", "--cap", "1000"]],
+    ids=["relations", "charp", "qbinom"])
+def test_cap_on_an_uncapped_suite_exits_2(capsys, argv):
+    code, out = run(argv)
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == f"error: verify {argv[1]} takes no --cap\n"
+
+
 def test_verify_cleft_golden():
     code, out = run(["verify", "cleft", "--ell", "3", "--N", "1"])
     assert code == 0

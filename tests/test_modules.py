@@ -253,13 +253,17 @@ def test_monomial_matrix_multiplies_only_nonzero_digit_factors(monkeypatch):
     monos = list(basis_monomials(p))
     expected = [reference(mono) for mono in monos]
     identity = Mat.identity(rep.dim, field)
-    matmul, inverse = Mat.__matmul__, CycNum.inverse
-    identity_operands, inverses = [], []
+    matmul, power, inverse = Mat.__matmul__, Mat.pow, CycNum.inverse
+    identity_operands, powers, inverses = [], [], []
 
     def counted_matmul(a, b):
         if a == identity or b == identity:
             identity_operands.append((a, b))
         return matmul(a, b)
+
+    def counted_pow(a, k):
+        powers.append(k)
+        return power(a, k)
 
     def counted_inverse(x):
         inverses.append(x)
@@ -267,11 +271,15 @@ def test_monomial_matrix_multiplies_only_nonzero_digit_factors(monkeypatch):
 
     modules._inverse_q_factorial.cache_clear()
     monkeypatch.setattr(Mat, "__matmul__", counted_matmul)
+    monkeypatch.setattr(Mat, "pow", counted_pow)
     monkeypatch.setattr(CycNum, "inverse", counted_inverse)
     got = [monomial_matrix(rep, mono) for mono in monos]
     monkeypatch.undo()
     assert got == expected
     assert not identity_operands
+    # Each digit factor (kind, level, digit) is built once for the rep:
+    # 3 kinds x 2 levels x digits 1-2 over all 729 basis monomials.
+    assert len(powers) <= 12
     assert len(inverses) <= p.ell - 1
 
     # K^n alone is the product of the K[i] powers, also on a simple module.
@@ -279,3 +287,29 @@ def test_monomial_matrix_multiplies_only_nonzero_digit_factors(monkeypatch):
     for n in range(9):
         expected = rep.mat("K", 0).pow(n % 3) @ rep.mat("K", 1).pow(n // 3)
         assert monomial_matrix(rep, (0, n, 0)) == expected
+
+
+def test_generator_matrices_are_read_only():
+    rep = verma(AlgebraParams(3, 1), 5)
+    with pytest.raises(TypeError):
+        rep.action[("E", 0)] = Mat.zero(rep.dim, rep.dim, rep.params.field)
+
+
+def test_memoized_factors_leave_derived_reps_unchanged():
+    # Reps built from a rep whose digit factors are memoized, or built after
+    # memoizing on a simple module, have the generator matrices of reps
+    # built from scratch, and start with no memoized factors.
+    p = AlgebraParams(3, 1)
+    monos = list(basis_monomials(p))
+    rep = verma(p, 5)
+    small = simple(p, 7)
+    for mono in monos:
+        monomial_matrix(rep, mono)
+        monomial_matrix(small, mono)
+    extended = extend_by_trivial_top(rep)
+    assert extended.action == extend_by_trivial_top(verma(p, 5)).action
+    assert not extended._factors
+    assert simple(p, 7).action == small.action
+    assert extend_by_trivial_top(small).action == \
+        extend_by_trivial_top(simple(p, 7)).action
+    assert rep == verma(p, 5)
