@@ -20,25 +20,27 @@ unique parameter-free member, uniform in (ell, level, root choice).
 Elements are stored on the normal basis F^(m) K^(n) E^(p) with
 0 <= m, n, p < ell^(N+1): m and p are ell-adic multi-indices of divided powers
 F^(m) = prod_i F[i]^(m_i)/[m_i]! (same for E), and n collects the K digits.
-A monomial is the integer triple (m, n, p).
+A monomial is the integer triple (m, n, p); its digit i, the triple of base-ell
+digits at position i, is a monomial of the small quantum group u.
 
 With no lower-level corrections in the brackets, the levels commute and the
-algebra is the (N+1)-fold tensor power of u on this digit basis: digit i of
-(m, n, p) is a monomial of the i-th tensor factor.  Multiplication therefore
-needs one memoized single-digit kernel ef_single(a, b) = normal form of
-E^(a) F^(b) in u, computed by induction on a + b from the level-0 bracket.
-E^(p) F^(m) for multi-indices is the digitwise product of those tables, and
-everything else (K twists, divided-power merges) is a closed-form scalar.
+algebra is the (N+1)-fold tensor power of u on this digit basis: a product of
+level-N monomials is the digitwise product of level-0 products, merged with
+coefficient 1.  The level-0 product rests on ef_single, the normal form of
+E^(a) F^(b) in u, derived by induction on a + b from the level-0 bracket.
+Every memo table is keyed by single digits, so its size does not grow with
+the level.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import CycField, CycNum, _acc
-from .qcomb import gen_q_binom, q_int, k_binom_laurent, to_digits
+from .qcomb import k_binom_laurent, q_binom, q_int
 
 Monomial = tuple[int, int, int]
 GeneratorId = tuple[str, int]
@@ -89,48 +91,17 @@ def uq_params(ell: int, root_exponent: int = 1) -> AlgebraParams:
 class _Engine:
     """Normal-form multiplication engine, shared per (ell, root exponent).
 
-    Keys and memo tables are level-independent; the level only bounds which
-    monomials a caller may form.
+    The memo tables hold level-0 data only: `_ef` maps digits (a, b) to
+    E^(a) F^(b), at most (ell-1)^2 keys, and `_collide` maps K-free digit
+    pairs to their product in u, at most ell^4 keys.  The level only bounds
+    which monomials a caller may form.
     """
 
     def __init__(self, ell: int, root_exponent: int):
         self.ell = ell
         self.field = CycField(ell, root_exponent)
         self._ef: dict[tuple[int, int], dict[Monomial, CycNum]] = {}
-        self._collide: dict[tuple[int, int], dict[Monomial, CycNum]] = {}
-        self._digs: dict[int, tuple[int, ...]] = {}
-
-    # -- digit helpers ----------------------------------------------------
-
-    def digits(self, value: int) -> tuple[int, ...]:
-        digs = self._digs.get(value)
-        if digs is None:
-            digs = to_digits(value, self.ell)
-            self._digs[value] = digs
-        return digs
-
-    def digit(self, value: int, i: int) -> int:
-        d = self.digits(value)
-        return d[i] if i < len(d) else 0
-
-    def k_add(self, *parts: int) -> int:
-        """Digitwise sum mod ell of K multi-indices."""
-        width = 0
-        for v in parts:
-            if v:
-                width = max(width, len(self.digits(v)))
-        total = 0
-        power = 1
-        for i in range(width):
-            s = sum(self.digit(v, i) for v in parts) % self.ell
-            total += s * power
-            power *= self.ell
-        return total
-
-    def _k_pair(self, n: int, x: int) -> int:
-        """Sum over levels of n_i * x_i (exponent pairing for K twists)."""
-        dn, dx = self.digits(n), self.digits(x)
-        return sum(a * b for a, b in zip(dn, dx))
+        self._collide: dict[tuple[tuple[int, int], ...], dict[Monomial, CycNum]] = {}
 
     # -- the single-digit kernel -------------------------------------------
 
@@ -146,84 +117,90 @@ class _Engine:
 
     def ef_single(self, a: int, b: int) -> dict[Monomial, CycNum]:
         """Normal form of E^(a) * F^(b) in u, 0 <= a, b < ell."""
+        if a == 0 or b == 0:
+            return {(b, 0, a): self.field.one()}
         key = (a, b)
         memo = self._ef.get(key)
         if memo is not None:
             return memo
-        if a == 0:
-            out = {(b, 0, 0): self.field.one()}
-        elif b == 0:
-            out = {(0, 0, a): self.field.one()}
-        elif a == 1:
+        if a == 1:
             # E F^(b) = (1/[b]) (F * E F^(b-1) + tail * F^(b-1))
-            out = {}
-            for mono, coeff in self.ef_single(1, b - 1).items():
-                for m2, c2 in self.mono_mul((1, 0, 0), mono).items():
-                    _acc(out, m2, coeff * c2)
-            for mono, coeff in self.bracket_tail().items():
-                for m2, c2 in self.mono_mul(mono, (b - 1, 0, 0)).items():
-                    _acc(out, m2, coeff * c2)
-            out = _scale(out, q_int(self.field, b).inverse())
+            steps = [((1, 0, 0), m, c) for m, c in self.ef_single(1, b - 1).items()]
+            steps += [(m, (b - 1, 0, 0), c) for m, c in self.bracket_tail().items()]
+            inv = q_int(self.field, b).inverse()
         else:
             # E^(a) F^(b) = (1/[a]) E * (E^(a-1) F^(b))
-            out = {}
-            for mono, coeff in self.ef_single(a - 1, b).items():
-                for m2, c2 in self.mono_mul((0, 0, 1), mono).items():
-                    _acc(out, m2, coeff * c2)
-            out = _scale(out, q_int(self.field, a).inverse())
+            steps = [((0, 0, 1), m, c) for m, c in self.ef_single(a - 1, b).items()]
+            inv = q_int(self.field, a).inverse()
+        out = {}
+        for left, right, coeff in steps:
+            for mono, c in self.mono_mul(left, right).items():
+                _acc(out, mono, coeff * c)
+        out = {mono: c * inv for mono, c in out.items()}
         self._ef[key] = out
         return out
 
-    # -- the level-N product ------------------------------------------------
+    # -- level-0 products and their digitwise merge --------------------------
 
-    def collide(self, p: int, m: int) -> dict[Monomial, CycNum]:
-        """Normal form of E^(p) * F^(m) for arbitrary multi-indices.
+    def collide(self, a: tuple[int, int], b: tuple[int, int]) -> dict[Monomial, CycNum]:
+        """Normal form in u of F^(a_f) E^(a_e) * F^(b_f) E^(b_e), for single
+        digits a = (a_f, a_e) and b = (b_f, b_e); memoized under (a, b).
 
-        Levels commute, so E^(p) F^(m) is the product over digits i of
-        E[i]^(p_i) F[i]^(m_i): each digit's ef_single terms go into digit
-        position i, and their coefficients multiply.
+        The middle E^(a_e) F^(b_f) is ef_single.  The outer divided powers
+        merge by single-digit q-binomials, and F^ell = E^ell = 0 drops every
+        term whose merged digit reaches ell.
         """
-        if p == 0 or m == 0:
-            return {(m, 0, p): self.field.one()}
-        key = (p, m)
+        key = (a, b)
         memo = self._collide.get(key)
         if memo is not None:
             return memo
-        out = {(0, 0, 0): self.field.one()}
-        power = 1
-        while p or m:
-            p, a = divmod(p, self.ell)
-            m, b = divmod(m, self.ell)
-            if a and b:
-                out = {(x + dx * power, y + dy * power, z + dz * power): c * dc
-                       for (x, y, z), c in out.items()
-                       for (dx, dy, dz), dc in self.ef_single(a, b).items()}
-            else:
-                out = {(x + b * power, y, z + a * power): c
-                       for (x, y, z), c in out.items()}
-            power *= self.ell
+        (a_f, a_e), (b_f, b_e) = a, b
+        field = self.field
+        out = {}
+        for (x, y, z), c in self.ef_single(a_e, b_f).items():
+            if a_f + x >= self.ell or z + b_e >= self.ell:
+                continue
+            if a_f and x:
+                c = c * q_binom(field, a_f + x, x)
+            if z and b_e:
+                c = c * q_binom(field, z + b_e, z)
+            out[(a_f + x, y, z + b_e)] = c
         self._collide[key] = out
         return out
 
     def mono_mul(self, a: Monomial, b: Monomial) -> dict[Monomial, CycNum]:
-        """Product of two normal monomials, expanded on the normal basis."""
-        a_f, a_k, a_e = a
-        b_f, b_k, b_e = b
-        field = self.field
-        out: dict[Monomial, CycNum] = {}
-        for (x, y, z), coeff in self.collide(a_e, b_f).items():
-            c_f = gen_q_binom(field, a_f + x, x)
-            if c_f.is_zero():
-                continue
-            c_e = gen_q_binom(field, z + b_e, z)
-            if c_e.is_zero():
-                continue
-            scalar = coeff * c_f * c_e
-            if a_k and x:
-                scalar = scalar * field.lambda_pow(-2 * self._k_pair(a_k, x))
-            if b_k and z:
-                scalar = scalar * field.lambda_pow(-2 * self._k_pair(z, b_k))
-            _acc(out, (a_f + x, self.k_add(a_k, y, b_k), z + b_e), scalar)
+        """Product of two normal monomials, expanded on the normal basis.
+
+        Digit i of the product is the level-0 product of digit i of a with
+        digit i of b: the collide table of their F and E digits, with the K
+        digits moved outward by K^k F^(x) = lam^(-2kx) F^(x) K^k and
+        E^(z) K^k = lam^(-2kz) K^k E^(z).  The levels commute, so the digit
+        tables merge with coefficient 1.  The result may be a shared memo
+        table and is read-only.
+        """
+        ell, field = self.ell, self.field
+        one = field.one()
+        out = None
+        power = 1
+        while out is None or any(a) or any(b):
+            (af, ak, ae), (bf, bk, be) = [v % ell for v in a], [v % ell for v in b]
+            a, b = [v // ell for v in a], [v // ell for v in b]
+            table = self.collide((af, ae), (bf, be))
+            if ak or bk:
+                twisted = {}
+                for (f, k, e), c in table.items():
+                    t = (ak * (f - af) + bk * (e - be)) % ell
+                    twisted[(f, (k + ak + bk) % ell, e)] = \
+                        c * field.lambda_pow(-2 * t) if t else c
+                table = twisted
+            if out is None:
+                out = table
+            else:
+                out = {(x + f * power, y + k * power, z + e * power):
+                       c if dc == one else c * dc
+                       for (x, y, z), c in out.items()
+                       for (f, k, e), dc in table.items()}
+            power *= ell
         return out
 
 
@@ -232,15 +209,9 @@ _ENGINES: dict[tuple[int, int], _Engine] = {}
 
 def engine_for(params: AlgebraParams) -> _Engine:
     key = (params.ell, params.root_exponent)
-    eng = _ENGINES.get(key)
-    if eng is None:
-        eng = _Engine(params.ell, params.root_exponent)
-        _ENGINES[key] = eng
-    return eng
-
-
-def _scale(store: dict, factor: CycNum) -> dict:
-    return {k: v * factor for k, v in store.items()}
+    if key not in _ENGINES:
+        _ENGINES[key] = _Engine(*key)
+    return _ENGINES[key]
 
 
 class AlgElement:
@@ -379,8 +350,10 @@ def divided_power(params: AlgebraParams, kind: str, m: int) -> AlgElement:
 
 
 def k_monomial(params: AlgebraParams, n: int) -> AlgElement:
-    """The K-monomial with digit vector given by n."""
-    return AlgElement.monomial(params, 0, n % params.bound, 0)
+    """The K-monomial with digit vector given by n, 0 <= n < ell^(N+1)."""
+    if not 0 <= n < params.bound:
+        raise ValueError(f"K-monomial index {n} outside [0, {params.bound})")
+    return AlgElement.monomial(params, 0, n, 0)
 
 
 def k_binom_element(params: AlgebraParams, shift: int, t: int) -> AlgElement:
@@ -404,11 +377,7 @@ def k_binom_element(params: AlgebraParams, shift: int, t: int) -> AlgElement:
 
 def basis_monomials(params: AlgebraParams):
     """All (m, n, p) triples of the normal basis, in lexicographic order."""
-    bound = params.bound
-    for m in range(bound):
-        for n in range(bound):
-            for p in range(bound):
-                yield (m, n, p)
+    return itertools.product(range(params.bound), repeat=3)
 
 
 def grading_degree(x: AlgElement) -> int | None:

@@ -385,16 +385,20 @@ def _verify_qbinom(args, out) -> int:
     field = params.field
     ell = args.ell
     rng = random.Random(args.seed)
+    side = ell * ell
+    # Drawn as they are checked, not held in lists: every pair, then the triples.
     if ell <= 3:
-        sym_pairs = [(m, n) for m in range(ell * ell) for n in range(ell * ell)]
-        triples = [(m, n, pp) for m in range(ell * ell)
-                   for n in range(ell * ell) for pp in range(ell * ell)]
+        n_pairs, n_triples = side ** 2, side ** 3
+        sym_pairs = ((m, n) for m in range(side) for n in range(side))
+        triples = ((m, n, pp) for m in range(side)
+                   for n in range(side) for pp in range(side))
         mode = "exhaustive"
     else:
-        sym_pairs = [(rng.randrange(ell * ell), rng.randrange(ell * ell))
-                     for _ in range(args.samples)]
-        triples = [(rng.randrange(ell * ell), rng.randrange(ell * ell),
-                    rng.randrange(ell * ell)) for _ in range(args.samples)]
+        n_pairs = n_triples = args.samples
+        sym_pairs = ((rng.randrange(side), rng.randrange(side))
+                     for _ in range(n_pairs))
+        triples = ((rng.randrange(side), rng.randrange(side), rng.randrange(side))
+                   for _ in range(n_triples))
         mode = f"sampled ({args.samples})"
     sym_fail = sum(
         1 for m, n in sym_pairs
@@ -405,9 +409,9 @@ def _verify_qbinom(args, out) -> int:
         != gen_q_binom(field, n + pp, n) * gen_q_binom(field, m + n + pp, m))
     ok = sym_fail == 0 and prod_fail == 0
     lines = [
-        f"symmetry identity ({mode}): {len(sym_pairs)} instances, "
+        f"symmetry identity ({mode}): {n_pairs} instances, "
         f"{sym_fail} failures",
-        f"product identity ({mode}): {len(triples)} instances, "
+        f"product identity ({mode}): {n_triples} instances, "
         f"{prod_fail} failures",
         "PASS" if ok else "FAIL",
     ]

@@ -4,7 +4,7 @@ import pytest
 
 from qsl2.algebra import (AlgebraParams, AlgElement, all_residues_zero,
                           basis_monomials, bracket_rhs, counit_eps,
-                          divided_power, generator, grading_degree,
+                          divided_power, engine_for, generator, grading_degree,
                           inclusion_iota, k_monomial, projection_pi,
                           relation_residues, uq_params)
 from qsl2.modules import element_matrix, monomial_matrix, verma
@@ -105,21 +105,40 @@ def test_root_exponent_is_taken_mod_ell():
         generator(a, "E", 0).scaled(2)
 
 
-def test_three_digit_products():
-    # level 2 at ell = 3: associativity, and the Verma matrices as an oracle
-    # independent of the product engine
-    p = AlgebraParams(3, 2)
+@pytest.mark.parametrize("ell, level, r", [(3, 2, 1), (5, 1, 3), (3, 3, 2)])
+def test_three_digit_products(ell, level, r):
+    # associativity, and the Verma matrices as an oracle independent of the
+    # product engine
+    p = AlgebraParams(ell, level, r)
     rng = random.Random(7)
     for _ in range(300):
         a, b, c = rand_elem(rng, p), rand_elem(rng, p), rand_elem(rng, p)
         assert (a * b) * c == a * (b * c)
-    for z in (0, 13, 26):
+    for z in (0, p.bound // 2, p.bound - 1):
         rep = verma(p, z)
         for _ in range(30):
             ma, mb = rand_mono(rng, p), rand_mono(rng, p)
             prod = AlgElement.monomial(p, *ma) * AlgElement.monomial(p, *mb)
             assert element_matrix(rep, prod) == \
                 monomial_matrix(rep, ma) @ monomial_matrix(rep, mb)
+
+
+def _flat(key):
+    return [d for part in key for d in (part if isinstance(part, tuple) else (part,))]
+
+
+def test_product_memo_is_level_independent():
+    # the product engine memoizes level-0 data only, whatever the level
+    for ell, level in ((3, 3), (5, 1)):
+        p = AlgebraParams(ell, level)
+        rng = random.Random(11)
+        for _ in range(200):
+            rand_elem(rng, p) * rand_elem(rng, p)
+        eng = engine_for(p)
+        assert eng._collide and eng._ef
+        for key in list(eng._collide) + list(eng._ef):
+            assert all(0 <= d < ell for d in _flat(key)), key
+        assert len(eng._collide) <= ell ** 4
 
 
 def test_top_bracket_normal_form():
@@ -145,6 +164,14 @@ def test_triangular_decomposition_hits_basis_once():
         assert prod.terms == {(m, n, pp): p.field.one()}
         seen.add((m, n, pp))
     assert len(seen) == 729
+
+
+def test_k_monomial_refuses_out_of_range_index():
+    p = AlgebraParams(3, 1)
+    assert k_monomial(p, 8).terms == {(0, 8, 0): p.field.one()}
+    for n in (9, -1):
+        with pytest.raises(ValueError, match=rf"{n} outside \[0, 9\)"):
+            k_monomial(p, n)
 
 
 def test_grading():

@@ -109,6 +109,15 @@ def test_verify_qbinom():
     assert "0 failures" in out
 
 
+def test_verify_qbinom_sampled_golden():
+    code, out = run(["verify", "qbinom", "--ell", "5", "--samples", "200",
+                     "--seed", "3"])
+    assert code == 0
+    assert out == ("symmetry identity (sampled (200)): 200 instances, 0 failures\n"
+                   "product identity (sampled (200)): 200 instances, 0 failures\n"
+                   "PASS\n")
+
+
 def test_verify_charp():
     code, out = run(["verify", "charp", "--p", "2", "--k", "1"])
     assert code == 0
