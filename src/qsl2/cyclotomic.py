@@ -7,9 +7,12 @@ denominator, in canonical form: the content gcd(den, *num) is 1, so the sign
 sits on the numerators and zero is all-zero numerators over 1.  An element
 has exactly one such form (den is the lcm of its coefficients' reduced
 denominators), so equality and hashing are plain tuple comparisons, and
-sums and products need only integer arithmetic and gcds.  `coeffs` gives
-the coefficients as `fractions.Fraction`; `inverse` still runs its Euclid
-over Fractions.  No floating point appears anywhere in this package.
+sums and products need only integer arithmetic and gcds.  So does the
+inverse: x^-1 is the product of the Galois conjugates sigma_r(x) (x -> x^r,
+r != 1 a unit mod n) over the rational norm N(x), the product of all of
+them (L. C. Washington, *Introduction to Cyclotomic Fields*, GTM 83, ch. 2).
+`coeffs` gives the coefficients as `fractions.Fraction`.  No floating point
+appears anywhere in this package.
 
 The distinguished root `lam` of a :class:`CycField` is x^r where r is the
 field's root exponent (coprime to the order).  The default r = 1 picks the
@@ -31,31 +34,12 @@ class FieldMismatchError(ValueError):
     """Raised when combining elements of cyclotomic fields of different order."""
 
 
-def _poly_divmod_int(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Quotient and remainder of integer polynomials; division must stay integral."""
-    num_l = list(num)
-    quot = [0] * max(len(num) - len(den) + 1, 1)
-    dlead = den[-1]
-    for k in range(len(num) - len(den), -1, -1):
-        c = num_l[k + len(den) - 1]
-        if c % dlead != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        q = c // dlead
-        quot[k] = q
-        if q:
-            for i, d in enumerate(den):
-                num_l[k + i] -= q * d
-    while len(num_l) > 1 and num_l[-1] == 0:
-        num_l.pop()
-    return tuple(quot), tuple(num_l)
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Ascending coefficients of the n-th cyclotomic polynomial.
 
-    Computed by exact division of x^n - 1 by the cyclotomic polynomials of
-    the proper divisors of n.
+    Computed by long division of x^n - 1 by the cyclotomic polynomials of
+    the proper divisors of n, which are monic, so the division stays integral.
 
     >>> cyclotomic_polynomial(1)
     (-1, 1)
@@ -66,12 +50,19 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise ValueError(f"cyclotomic polynomial needs n >= 1, got {n}")
-    poly: tuple[int, ...] = tuple([-1] + [0] * (n - 1) + [1])  # x^n - 1
+    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _poly_divmod_int(poly, cyclotomic_polynomial(d))
-            assert rem == (0,)
-    return poly
+            div = cyclotomic_polynomial(d)
+            deg = len(div) - 1
+            quot = [0] * (len(poly) - deg)
+            for k in range(len(quot) - 1, -1, -1):
+                quot[k] = q = poly[k + deg]
+                for i, c in enumerate(div):
+                    poly[k + i] -= q * c
+            assert not any(poly)
+            poly = quot
+    return tuple(poly)
 
 
 @functools.lru_cache(maxsize=None)
@@ -146,13 +137,22 @@ def _combine(a: "CycNum", b: "CycNum", op) -> "CycNum":
     return _reduced(a.order, [op(x * ma, y * mb) for x, y in zip(a.num, b.num)], da * ma)
 
 
+def _conjugate(x: "CycNum", r: int) -> "CycNum":
+    """sigma_r(x) for r a unit mod x.order: the numerator at x^k moves to
+    x^(r*k mod order), whose residue mod Phi_order is a row of _power_residues."""
+    rows = _power_residues(x.order)
+    images = [rows[r * k % x.order] for k in range(len(x.num))]
+    return _reduced(x.order, [sum(map(operator.mul, x.num, col)) for col in zip(*images)], x.den)
+
+
 def _is_rational(value) -> bool:
     return isinstance(value, (int, Fraction))
 
 
 class CycNum:
     """An element of Q[x]/(Phi_order), in canonical reduced form: the integer
-    numerators `num` of its coefficients over one common denominator `den`."""
+    numerators `num` of its coefficients over one common denominator `den`.
+    Every operation, `inverse` included, works on these integers."""
 
     __slots__ = ("order", "num", "den")
 
@@ -227,32 +227,19 @@ class CycNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
-        """Multiplicative inverse, by the extended Euclidean algorithm mod Phi."""
+        """Multiplicative inverse: the conjugates sigma_r(x), r != 1, over N(x)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
-        coeffs = self.coeffs
-        phi = tuple(Fraction(c) for c in cyclotomic_polynomial(self.order))
-        r0, r1 = phi, _trim(coeffs)
-        s0: tuple[Fraction, ...] = (Fraction(0),)
-        s1: tuple[Fraction, ...] = (Fraction(1),)
-        while _poly_deg(r1) > 0:
-            q, r = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r1 is a nonzero constant: gcd(self, Phi) up to scale
-        scale = Fraction(1) / r1[0]
-        inv = tuple(c * scale for c in s1)
-        deg = len(coeffs)
-        padded = list(inv) + [Fraction(0)] * (2 * deg)
-        out = list(padded[:deg])
-        rows = _power_residues(self.order)
-        for k in range(deg, len(inv)):
-            if padded[k]:
-                row = rows[k]
-                for i in range(deg):
-                    if row[i]:
-                        out[i] += padded[k] * row[i]
-        return CycNum(self.order, tuple(out))
+        order = self.order
+        conjugates = [_conjugate(self, r) for r in range(2, order) if math.gcd(r, order) == 1]
+        others = functools.reduce(operator.mul, conjugates, CycNum.from_rational(order, 1))
+        norm = self * others
+        n0 = norm.num[0]
+        if any(norm.num[1:]):
+            raise ArithmeticError(f"Galois norm of {self!r} is not rational")
+        # x^-1 = others * norm.den / n0, with the sign moved to the numerators
+        scale = norm.den if n0 > 0 else -norm.den
+        return _reduced(order, [n * scale for n in others.num], others.den * abs(n0))
 
     def __truediv__(self, other: "CycNum") -> "CycNum":
         return self * other.inverse()
@@ -289,49 +276,6 @@ def _acc(store: dict, key, value: CycNum) -> None:
         store.pop(key, None)
     else:
         store[key] = value
-
-
-def _trim(coeffs) -> tuple[Fraction, ...]:
-    c = list(coeffs)
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _poly_deg(p: tuple[Fraction, ...]) -> int:
-    return len(_trim(p)) - 1 if any(p) else -1
-
-
-def _poly_sub(a, b) -> tuple[Fraction, ...]:
-    n = max(len(a), len(b))
-    a = tuple(a) + (Fraction(0),) * (n - len(a))
-    b = tuple(b) + (Fraction(0),) * (n - len(b))
-    return _trim(x - y for x, y in zip(a, b))
-
-
-def _poly_mul(a, b) -> tuple[Fraction, ...]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _trim(out)
-
-
-def _poly_divmod_frac(num, den):
-    num_l = list(num)
-    dlead = den[-1]
-    qlen = max(len(num) - len(den) + 1, 1)
-    quot = [Fraction(0)] * qlen
-    for k in range(len(num) - len(den), -1, -1):
-        c = num_l[k + len(den) - 1]
-        if c:
-            q = c / dlead
-            quot[k] = q
-            for i, d in enumerate(den):
-                num_l[k + i] -= q * d
-    return _trim(quot), _trim(num_l)
 
 
 @dataclass(frozen=True)

@@ -67,8 +67,7 @@ def verma(params: AlgebraParams, z: int) -> ModuleRep:
     bound = params.bound
     if not 0 <= z < bound:
         raise ValueError(f"weight {z} outside [0, {bound})")
-    ell = params.level + 1
-    zdig = to_digits(z, params.ell, ell)
+    zdig = to_digits(z, params.ell, params.level + 1)
     field = params.field
     dim = bound
     action: dict[GeneratorId, Mat] = {}
@@ -190,6 +189,10 @@ def _product(rep: ModuleRep, factors: list[Mat]) -> Mat:
 def divided_power_matrix(rep: ModuleRep, kind: str, m: int) -> Mat:
     """Matrix of E^(m) or F^(m) (per-level powers divided by q-factorials).
     Like `monomial_matrix`, it may return a shared matrix: read it only."""
+    if kind not in ("E", "F"):
+        raise ValueError(f"divided powers exist for E and F only, got {kind!r}")
+    if m >= rep.params.bound:
+        raise ValueError(f"divided-power index {m} outside [0, {rep.params.bound})")
     return _product(rep, _digit_factors(rep, kind, m))
 
 
@@ -198,11 +201,15 @@ def monomial_matrix(rep: ModuleRep, mono: tuple[int, int, int]) -> Mat:
     factors.  The result may be shared with the rep (a generator matrix or a
     stored factor, when only one digit is nonzero), so it is read-only."""
     m, n, p = mono
+    if max(mono) >= rep.params.bound:
+        raise ValueError(f"monomial indices must lie in [0, {rep.params.bound})")
     return _product(rep, _digit_factors(rep, "F", m) + _digit_factors(rep, "K", n)
                     + _digit_factors(rep, "E", p))
 
 
 def element_matrix(rep: ModuleRep, x: AlgElement) -> Mat:
+    if x.params != rep.params:
+        raise ValueError(f"an element of {x.params} cannot act on a module of {rep.params}")
     result = Mat.zero(rep.dim, rep.dim, rep.params.field)
     for mono, coeff in x.terms.items():
         result = result + monomial_matrix(rep, mono).scaled(coeff)

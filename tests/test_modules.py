@@ -313,3 +313,24 @@ def test_memoized_factors_leave_derived_reps_unchanged():
     assert extend_by_trivial_top(small).action == \
         extend_by_trivial_top(simple(p, 7)).action
     assert rep == verma(p, 5)
+
+
+def test_element_matrix_refuses_element_of_another_algebra():
+    rep = verma(uq_params(3), 1)
+    with pytest.raises(ValueError, match="level=1"):
+        element_matrix(rep, generator(AlgebraParams(3, 1), "E", 0))
+    with pytest.raises(ValueError, match="root_exponent=2"):
+        element_matrix(uq_simple(5, 2), generator(uq_params(5, 2), "K", 0))
+
+
+def test_module_matrices_refuse_bad_index_or_kind():
+    rep = verma(AlgebraParams(3, 1), 5)
+    with pytest.raises(ValueError, match=r"outside \[0, 9\)"):
+        divided_power_matrix(rep, "F", 9)
+    with pytest.raises(ValueError, match="E and F only"):
+        divided_power_matrix(rep, "G", 1)
+    with pytest.raises(ValueError, match="E and F only"):
+        divided_power_matrix(rep, "K", 1)
+    for mono in ((9, 0, 0), (0, 9, 0), (0, 0, 12)):
+        with pytest.raises(ValueError, match=r"\[0, 9\)"):
+            monomial_matrix(rep, mono)
