@@ -6,7 +6,7 @@ the module dimension ell^(N+1) for rep, the basis monomials checked,
 ell^(3(N+1)), for verify hopf, and the columns of one coinvariant block,
 ell^3, for verify cleft.  The other suites take no --cap, and giving them
 one is a usage error; of them only verify charp grows with the basis: it
-indexes all p^(3(k+1)) monomials and multiplies up to p^(3(k+1))*(p^(3k)-1)
+indexes all p^(3(k+1)) monomials and multiplies all p^(3(k+1))*(p^(3k)-1)
 pairs.
 Global options may also come from environment variables QSL2_ELL, QSL2_N,
 QSL2_ROOT_EXPONENT, QSL2_FORMAT (precedence: flag, then environment, then

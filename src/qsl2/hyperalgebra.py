@@ -111,7 +111,18 @@ def _one_plus_t_pow(p: int, e: int, order_t: int) -> dict[int, int]:
 
 
 class _HypEngine:
-    """Oracle tables for one (p, level) pair."""
+    """Memo tables for one (p, level) pair; every index is below bound = p^level.
+
+    Four oracle tables, each filled by series coefficient extraction:
+    `_xy` (X^(n) Y^(m), keyed (n, m)), `_hh` (H^(m) H^(n), keyed (m, n)) and
+    `_xx` (X^(m) X^(n), keyed (m, n)) have at most bound^2 keys; `_move`
+    (H^(b) past a generator of H-weight w, keyed (b, w)) has at most
+    bound * (2 bound - 1), since w is -2x or 2c.
+
+    Two product tables, built only from the oracle tables, split mono_mul:
+    `_left` (H^(b) X^(c) Y^(a2), keyed (b, c, a2)) and `_right`
+    (H^(k) X^(z) H^(b2), keyed (k, z, b2)) have at most bound^3 keys.
+    """
 
     def __init__(self, params: HypParams):
         self.params = params
@@ -121,6 +132,8 @@ class _HypEngine:
         self._hh: dict[tuple[int, int], dict[int, int]] = {}
         self._move: dict[tuple[int, int], dict[int, int]] = {}
         self._xx: dict[tuple[int, int], int] = {}
+        self._left: dict[tuple[int, int, int], tuple] = {}
+        self._right: dict[tuple[int, int, int], tuple] = {}
 
     def xy_table(self, n: int, m: int) -> HypElement:
         """Normal order of X^(n) Y^(m) by bivariate coefficient extraction."""
@@ -194,13 +207,54 @@ class _HypEngine:
             self._xx[key] = memo
         return memo
 
+    def left_table(self, b: int, c: int, a2: int) -> tuple:
+        """H^(b) X^(c) Y^(a2) in normal order, as (x, z, ((k, c_k), ...))
+        groups: the sum over groups of Y^(x) (sum_k c_k H^(k)) X^(z)."""
+        key = (b, c, a2)
+        memo = self._left.get(key)
+        if memo is not None:
+            return memo
+        p = self.p
+        groups: dict[tuple[int, int], dict[int, int]] = {}
+        for (x, y, z), v in self.xy_table(c, a2).items():
+            # H^(b) slides right past Y^(x) and meets H^(y): sum_k h_k H^(k).
+            h_mid = groups.setdefault((x, z), {})
+            for j, cj in self.move_table(b, -2 * x).items():
+                for k, ck in self.hh_table(j, y).items():
+                    _acc_mod(h_mid, k, v * cj * ck, p)
+        memo = tuple((x, z, tuple(h.items())) for (x, z), h in groups.items() if h)
+        self._left[key] = memo
+        return memo
+
+    def right_table(self, k: int, z: int, b2: int) -> tuple:
+        """H^(k) X^(z) H^(b2) in normal order, as ((k2, c_k2), ...): the sum
+        of c_k2 H^(k2) X^(z)."""
+        key = (k, z, b2)
+        memo = self._right.get(key)
+        if memo is not None:
+            return memo
+        p = self.p
+        out: dict[int, int] = {}
+        # X^(z) slides left past H^(b2), and H^(k) joins on the left.
+        for i, ci in self.move_table(b2, -2 * z).items():
+            for k2, ck2 in self.hh_table(k, i).items():
+                assert k2 < self.bound
+                _acc_mod(out, k2, ci * ck2, p)
+        memo = tuple(out.items())
+        self._right[key] = memo
+        return memo
+
     def mono_mul(self, left: HypMonomial, right: HypMonomial) -> HypElement:
+        """Y^(a) H^(b) X^(c) * Y^(a2) H^(b2) X^(c2).  The left table turns
+        H^(b) X^(c) Y^(a2) into Y^(x) H^(k) X^(z) terms, the right table turns
+        each H^(k) X^(z) H^(b2) into H^(k2) X^(z) terms, and Y^(a) Y^(x) and
+        X^(z) X^(c2) merge on the outside."""
         a, b, c = left
         a2, b2, c2 = right
         p = self.p
         bound = self.bound
         out: HypElement = {}
-        for (x, y, z), v in self.xy_table(c, a2).items():
+        for x, z, h_mid in self.left_table(b, c, a2):
             y_merge = self.xx_merge(a, x)
             if not y_merge:
                 continue
@@ -208,18 +262,11 @@ class _HypEngine:
             if not x_merge:
                 continue
             assert a + x < bound and z + c2 < bound
-            base = v * y_merge * x_merge % p
-            # H^(b) slides right past Y^(x) and meets H^(y): sum_k h_k H^(k).
-            h_mid: dict[int, int] = {}
-            for j, cj in self.move_table(b, -2 * x).items():
-                for k, ck in self.hh_table(j, y).items():
-                    _acc_mod(h_mid, k, cj * ck, p)
-            # X^(z) slides left past H^(b2), and H^(i) joins on the right.
-            for i, ci in self.move_table(b2, -2 * z).items():
-                for k, ck in h_mid.items():
-                    for k2, ck2 in self.hh_table(k, i).items():
-                        assert k2 < bound
-                        _acc_mod(out, (a + x, k2, z + c2), base * ci * ck * ck2, p)
+            base = y_merge * x_merge % p
+            for k, ck in h_mid:
+                scale = base * ck
+                for k2, ck2 in self.right_table(k, z, b2):
+                    _acc_mod(out, (a + x, k2, z + c2), scale * ck2, p)
         return out
 
 
@@ -276,12 +323,16 @@ def xy_normal_order(params: HypParams, n: int, m: int) -> HypElement:
 
 def hx_normal_order(params: HypParams, b: int, c: int) -> HypElement:
     """Normal-ordered H^(b) X^(c) = sum_j [(1+t)^(2c)]_(b-j) X^(c) H^(j)."""
+    if not (0 <= b < params.bound and 0 <= c < params.bound):
+        raise ValueError("indices outside the truncation bound")
     eng = _engine(params)
     return {(0, j, c): v for j, v in eng.move_table(b, 2 * c).items()}
 
 
 def hy_normal_order(params: HypParams, b: int, a: int) -> HypElement:
     """Normal-ordered H^(b) Y^(a) = sum_j [(1+t)^(-2a)]_(b-j) Y^(a) H^(j)."""
+    if not (0 <= b < params.bound and 0 <= a < params.bound):
+        raise ValueError("indices outside the truncation bound")
     eng = _engine(params)
     return {(a, j, 0): v for j, v in eng.move_table(b, -2 * a).items()}
 
@@ -316,8 +367,9 @@ def kernel_dimensions(params: HypParams, k: int) -> dict:
     p^(3(k+1)) - p^(3k).  The left ideal generated by the augmentation part
     of the level-k subalgebra (which the counit kills: every non-unit
     divided-power monomial has counit zero) is contained in that kernel and
-    is confirmed to span it by exact rank over F_p; each enumerated product
-    is also checked to map to zero.
+    is confirmed to span it by exact rank over F_p.  The rank stops once it
+    reaches the kernel dimension, but every product of a level-(k+1) monomial
+    with a non-unit level-k monomial is still checked to map to zero.
     """
     if params.level != k + 1:
         raise ValueError("parameters must sit at level k+1")
@@ -332,9 +384,10 @@ def kernel_dimensions(params: HypParams, k: int) -> dict:
     low_bound = p ** k
     index = {mono: i for i, mono in enumerate(hyp_basis(params))}
     containment_ok = True
+    checked = 0
 
     def rows():
-        nonlocal containment_ok
+        nonlocal containment_ok, checked
         for big in hyp_basis(params):
             for small in ((a, b, c) for a in range(low_bound)
                           for b in range(low_bound) for c in range(low_bound)):
@@ -342,12 +395,16 @@ def kernel_dimensions(params: HypParams, k: int) -> dict:
                     continue
                 prod = hyp_multiply(params, hyp_monomial(params, *big),
                                     hyp_monomial(params, *small))
+                checked += 1
                 if prod:
                     if frobenius_pi(params, prod, k):
                         containment_ok = False
                     yield {index[mono]: v for mono, v in prod.items()}
 
-    span_rank = rank_mod_p(rows(), p, stop_at=kernel_dim)
+    products = rows()
+    span_rank = rank_mod_p(products, p, stop_at=kernel_dim)
+    for _ in products:  # the products the rank did not need
+        pass
     return {
         "p": p, "k": k,
         "dim_level_k": p ** (3 * k),
@@ -358,6 +415,7 @@ def kernel_dimensions(params: HypParams, k: int) -> dict:
         "ideal_span_rank": span_rank,
         "ideal_spans_kernel": span_rank == kernel_dim,
         "products_contained_in_kernel": containment_ok,
+        "products_checked": checked,
     }
 
 

@@ -230,6 +230,9 @@ def test_criterion_09_char_p_suite():
     assert dims2["products_contained_in_kernel"]
     dims3 = kernel_dimensions(big3, 1)
     assert dims3["kernel_matches"] and dims3["ideal_spans_kernel"]
+    # containment covers every product big * small, not the rank's prefix
+    assert dims3["products_contained_in_kernel"]
+    assert dims3["products_checked"] == 3 ** 6 * (3 ** 3 - 1)
 
     for p in (2, 3, 5):
         report = erratum_report(p, 1)

@@ -3,13 +3,80 @@ import random
 
 import pytest
 
-from qsl2.hyperalgebra import (HypParams, additive_group_product,
+from qsl2.hyperalgebra import (HypParams, _engine, additive_group_product,
                                erratum_report, erratum_text, format_hyp,
                                frobenius_pi, ga_gm_models, hx_normal_order,
                                hy_normal_order, hyp_basis, hyp_monomial,
                                hyp_multiply, kernel_dimensions,
                                multiplicative_group_product,
                                printed_xy_closed_form, xy_normal_order)
+from qsl2.linalg import _acc_mod
+
+
+def _ref_mono_mul(eng, left, right):
+    """The monomial product as it was before the left and right tables: the
+    move and merge loops walked again on every call.  Kept as the oracle for
+    `_HypEngine.mono_mul`."""
+    a, b, c = left
+    a2, b2, c2 = right
+    p = eng.p
+    bound = eng.bound
+    out = {}
+    for (x, y, z), v in eng.xy_table(c, a2).items():
+        y_merge = eng.xx_merge(a, x)
+        if not y_merge:
+            continue
+        x_merge = eng.xx_merge(z, c2)
+        if not x_merge:
+            continue
+        assert a + x < bound and z + c2 < bound
+        base = v * y_merge * x_merge % p
+        # H^(b) slides right past Y^(x) and meets H^(y): sum_k h_k H^(k).
+        h_mid = {}
+        for j, cj in eng.move_table(b, -2 * x).items():
+            for k, ck in eng.hh_table(j, y).items():
+                _acc_mod(h_mid, k, cj * ck, p)
+        # X^(z) slides left past H^(b2), and H^(i) joins on the right.
+        for i, ci in eng.move_table(b2, -2 * z).items():
+            for k, ck in h_mid.items():
+                for k2, ck2 in eng.hh_table(k, i).items():
+                    assert k2 < bound
+                    _acc_mod(out, (a + x, k2, z + c2), base * ci * ck * ck2, p)
+    return out
+
+
+@pytest.mark.parametrize("p,level", [(2, 1), (2, 2), (3, 1), (5, 1)])
+def test_mono_mul_matches_reference_exhaustive(p, level):
+    eng = _engine(HypParams(p, level))
+    monos = list(hyp_basis(eng.params))
+    for left in monos:
+        for right in monos:
+            assert eng.mono_mul(left, right) == _ref_mono_mul(eng, left, right)
+
+
+@pytest.mark.parametrize("p,level", [(3, 2), (2, 3)])
+def test_mono_mul_matches_reference_sampled(p, level):
+    eng = _engine(HypParams(p, level))
+    rng = random.Random(11)
+    bound = eng.bound
+    for _ in range(5000):
+        left, right = ((rng.randrange(bound), rng.randrange(bound),
+                        rng.randrange(bound)) for _ in range(2))
+        assert eng.mono_mul(left, right) == _ref_mono_mul(eng, left, right)
+
+
+def test_product_tables_stay_within_bound_cubed():
+    # With a = c2 = 0 both merges are 1, so these products read every key
+    # that any product at (3, 2) reads.
+    eng = _engine(HypParams(3, 2))
+    bound = eng.bound
+    for b in range(bound):
+        for c in range(bound):
+            for a2 in range(bound):
+                for b2 in range(bound):
+                    eng.mono_mul((0, b, c), (a2, b2, 0))
+    assert 0 < len(eng._left) <= bound ** 3
+    assert 0 < len(eng._right) <= bound ** 3
 
 
 def test_xy_bracket_is_h():
@@ -117,6 +184,17 @@ def test_kernel_dimensions_p2():
     assert report["kernel_dim"] == 64 - 8 == report["kernel_dim_expected"]
     assert report["ideal_spans_kernel"]
     assert report["products_contained_in_kernel"]
+    # the rank stops early; containment is still decided on all big * small
+    assert report["products_checked"] == 2 ** 6 * (2 ** 3 - 1)
+
+
+def test_normal_orders_refuse_indices_outside_bound():
+    params = HypParams(3, 1)
+    for order in (hx_normal_order, hy_normal_order, xy_normal_order):
+        for args in ((5, 4), (3, 0), (0, 3), (-1, 0)):
+            with pytest.raises(ValueError):
+                order(params, *args)
+        order(params, 2, 2)
 
 
 def test_warmup_algebras():
