@@ -268,7 +268,7 @@ def _verify_hopf(args, out) -> int:
     report = hopf_axiom_check(params)
     lines = []
     for name, chk in report["checks"].items():
-        lines.append(f"{name}: {chk['instances']} instances, "
+        lines.append(f"{name} (exhaustive): {chk['instances']} instances, "
                      f"{len(chk['failures'])} failures")
     lines.append("PASS" if report["pass"] else "FAIL")
     _emit(args, report, lines, out)
@@ -401,7 +401,7 @@ def _verify_qbinom(args, out) -> int:
                      for _ in range(n_pairs))
         triples = ((rng.randrange(side), rng.randrange(side), rng.randrange(side))
                    for _ in range(n_triples))
-        mode = f"sampled ({args.samples})"
+        mode = f"sampled, seed {args.seed}"
     sym_fail = sum(
         1 for m, n in sym_pairs
         if gen_q_binom(field, m + n, m) != gen_q_binom(field, m + n, n))

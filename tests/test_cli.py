@@ -113,9 +113,27 @@ def test_verify_qbinom_sampled_golden():
     code, out = run(["verify", "qbinom", "--ell", "5", "--samples", "200",
                      "--seed", "3"])
     assert code == 0
-    assert out == ("symmetry identity (sampled (200)): 200 instances, 0 failures\n"
-                   "product identity (sampled (200)): 200 instances, 0 failures\n"
+    assert out == ("symmetry identity (sampled, seed 3): 200 instances, 0 failures\n"
+                   "product identity (sampled, seed 3): 200 instances, 0 failures\n"
                    "PASS\n")
+
+
+HOPF_3_1 = """\
+coassociativity (exhaustive): 27 instances, 0 failures
+counit (exhaustive): 27 instances, 0 failures
+antipode (exhaustive): 27 instances, 0 failures
+coaction_relabelling (exhaustive): 729 instances, 0 failures
+coaction_coassociativity (exhaustive): 27 instances, 0 failures
+coaction_counit (exhaustive): 27 instances, 0 failures
+coaction_multiplicative (exhaustive): 64 instances, 0 failures
+PASS
+"""
+
+
+def test_verify_hopf_golden():
+    code, out = run(["verify", "hopf", "--ell", "3", "--N", "1"])
+    assert code == 0
+    assert out == HOPF_3_1
 
 
 def test_verify_charp():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -129,6 +130,67 @@ def test_coinvariants_refuse_a_column_outside_its_block(monkeypatch):
     monkeypatch.setattr(hopf._HopfCache, "rho_mono", leaky)
     with pytest.raises(AssertionError, match=r"rho\(\(1, 0, 0\)\).*\(2, 0, 0\)"):
         coinvariants(AlgebraParams(3, 1))
+
+
+def _ref_coinvariants(params):
+    """The per-block solve that `coinvariants` replaced, kept as its oracle:
+    one nullspace per low-digit label, each from its own rho columns."""
+    cache = hopf._cache(params)
+    field = params.field
+    top = params.ell ** params.level
+    lower = AlgebraParams(params.ell, params.level - 1, params.root_exponent)
+    basis = []
+    for label in basis_monomials(lower):
+        monos = [tuple(low + top * d for low, d in zip(label, digits))
+                 for digits in basis_monomials(cache.uparams)]
+        columns = []
+        for mono in monos:
+            col = dict(cache.rho_mono(mono).terms)
+            hopf._acc(col, ((0, 0, 0), mono), -field.one())
+            columns.append(col)
+        for vec in hopf.nullspace_of_columns(columns, field):
+            basis.append(AlgElement(params, {monos[i]: v for i, v in vec.items()}))
+    return basis
+
+
+@pytest.mark.parametrize("ell,level", [(3, 1), (3, 2), (5, 1)])
+def test_coinvariants_match_the_per_block_solve(ell, level):
+    params = AlgebraParams(ell, level)
+    basis, _ = coinvariants(params)
+    assert basis == _ref_coinvariants(params)
+
+
+def _rescale_one_coaction_term(monkeypatch):
+    """Make rho((1, 0, 3)) at (3, 1) double its E (x) F[0] term: the column
+    stays inside its block of low digits (1, 0, 0), but is no longer the
+    block-0 column of (0, 0, 3) relabelled."""
+    original = hopf._HopfCache.rho_mono
+    key = ((0, 0, 1), (1, 0, 0))
+
+    def rescaled(self, mono):
+        out = original(self, mono)
+        if (self.dparams.level, mono) != (1, (1, 0, 3)):
+            return out
+        terms = dict(out.terms)
+        terms[key] = terms[key] + terms[key]
+        return Tensor2(out.uparams, out.dparams, terms)
+
+    monkeypatch.setattr(hopf._HopfCache, "rho_mono", rescaled)
+    return r"rho\(\(1, 0, 3\)\).*\(\(0, 0, 1\), \(1, 0, 0\)\)"
+
+
+def test_coinvariants_refuse_a_block_that_is_not_block_zero_relabelled(monkeypatch):
+    message = _rescale_one_coaction_term(monkeypatch)
+    with pytest.raises(AssertionError, match=message):
+        coinvariants(AlgebraParams(3, 1))
+
+
+def test_hopf_axiom_check_reports_a_broken_relabelling(monkeypatch):
+    message = _rescale_one_coaction_term(monkeypatch)
+    report = hopf_axiom_check(AlgebraParams(3, 1))
+    assert not report["pass"]
+    (failure,) = report["checks"]["coaction_relabelling"]["failures"]
+    assert re.search(message, failure)
 
 
 def test_gamma_examples_and_colinearity():
