@@ -26,12 +26,12 @@ rho is Delta itself.
 Its coinvariants recover the level-(N-1) subalgebra.  `coinvariants`
 computes them as one exact nullspace, that of the ell^3 monomials with
 zero low digits, relabelled by each level-(N-1) basis monomial; before
-solving, it checks on every basis monomial that the coaction is that
-relabelling, and raises if it is not.  `hopf_axiom_check` makes the same
-check and then tests coassociativity and the counit of the coaction once
-per top digit.  The section gamma(F^(a) K^b E^(c)) =
-F[N]^(a) K[N]^b E[N]^(c) is a colinear, convolution-invertible cleaving
-map.
+solving, it checks on every basis monomial that the coaction is that of its
+block-0 monomial with the low digits added on the right, and raises if it
+is not.  `hopf_axiom_check` makes the same check and then tests
+coassociativity and the counit of the coaction once per top digit.  The
+section gamma(F^(a) K^b E^(c)) = F[N]^(a) K[N]^b E[N]^(c) is a colinear,
+convolution-invertible cleaving map.
 """
 
 from __future__ import annotations
@@ -84,7 +84,9 @@ class Tensor2:
             _acc(out, key, -val)
         return Tensor2(self.uparams, self.dparams, out)
 
-    def scaled(self, factor: CycNum) -> "Tensor2":
+    def scaled(self, factor) -> "Tensor2":
+        if not isinstance(factor, CycNum):  # an int or a Fraction
+            factor = self.uparams.field.rational(factor)
         if factor.is_zero():
             return Tensor2(self.uparams, self.dparams, {})
         return Tensor2(self.uparams, self.dparams,
@@ -124,6 +126,7 @@ class _HopfCache:
         self.dparams = params
         self.uparams = uq_params(params.ell, params.root_exponent)
         self.field = params.field
+        self.top = params.ell ** params.level  # the width ell^N of digit N
         self._delta: dict[Monomial, Tensor2] = {}
         # Never written: rho_mono stores nothing.  bench/layers.py reads it.
         self._rho: dict[Monomial, Tensor2] = {}
@@ -177,12 +180,13 @@ class _HopfCache:
         1, since the levels commute; the low digits are coinvariant, so each
         right-hand factor of Delta(top digit) is moved into digit N and
         merged with the untouched low digits.  Nothing is stored: each
-        result is a relabelling of a memoized `delta_mono`, and the
-        relabelling check of `_block_zero` reads each monomial once.
+        result is a relabelling of a memoized `delta_mono`, and
+        `_block_zero` reads each monomial's coaction once to check that.
         """
-        top = self.dparams.ell ** self.dparams.level
-        (m_top, m_low), (n_top, n_low), (p_top, p_low) = (
-            divmod(x, top) for x in mono)
+        top = self.top
+        m_top, m_low = divmod(mono[0], top)
+        n_top, n_low = divmod(mono[1], top)
+        p_top, p_low = divmod(mono[2], top)
         return Tensor2(self.uparams, self.dparams, {
             (u, (m_low + a * top, n_low + b * top, p_low + c * top)): coeff
             for (u, (a, b, c)), coeff
@@ -219,14 +223,11 @@ def _cache(params: AlgebraParams) -> _HopfCache:
 
 
 def uq_coproduct(x: AlgElement) -> Tensor2:
-    """Coproduct on the small quantum group, extended multiplicatively."""
+    """Coproduct on the small quantum group, extended multiplicatively: the
+    coaction at level 0."""
     if x.params.level != 0:
         raise ValueError("the coproduct lives on the level-0 algebra")
-    cache = _cache(x.params)
-    out = Tensor2(cache.uparams, cache.uparams)
-    for mono, coeff in x.terms.items():
-        out = out + cache.delta_mono(mono).scaled(coeff)
-    return out
+    return rho(x)
 
 
 def uq_antipode(x: AlgElement) -> AlgElement:
@@ -234,19 +235,21 @@ def uq_antipode(x: AlgElement) -> AlgElement:
     if x.params.level != 0:
         raise ValueError("the antipode lives on the level-0 algebra")
     cache = _cache(x.params)
-    out = AlgElement.zero(x.params)
+    out: dict[Monomial, CycNum] = {}
     for mono, coeff in x.terms.items():
-        out = out + cache.antipode_mono(mono).scaled(coeff)
-    return out
+        for key, val in cache.antipode_mono(mono).terms.items():
+            _acc(out, key, val * coeff)
+    return AlgElement(x.params, out)
 
 
 def rho(x: AlgElement) -> Tensor2:
     """The comodule-algebra coaction; at level 0 it is the coproduct."""
     cache = _cache(x.params)
-    out = Tensor2(cache.uparams, cache.dparams)
+    out: dict[tuple[Monomial, Monomial], CycNum] = {}
     for mono, coeff in x.terms.items():
-        out = out + cache.rho_mono(mono).scaled(coeff)
-    return out
+        for key, val in cache.rho_mono(mono).terms.items():
+            _acc(out, key, val * coeff)
+    return Tensor2(cache.uparams, cache.dparams, out)
 
 
 def gamma(u_elem: AlgElement, params: AlgebraParams) -> AlgElement:
@@ -274,29 +277,23 @@ def _block_zero(cache: _HopfCache):
     The columns are rho(m) - 1 (x) m.  Block 0 holds the ell^3 monomials
     ell^N (a, b, c); the block of a low-digit label L holds L + ell^N (a, b, c).
     Checked on every basis monomial, not assumed:
-    - each row of a block-0 column has low digits zero;
-    - the column of L + m equals the block-0 column of m with each row's
-      right-hand monomial shifted by L.
-    A column that fails either raises AssertionError naming the monomial and
-    a row where it fails; nothing is solved block by block instead.  Reads
-    rho_mono once per basis monomial.  Returns the block-0 monomials and
+    - each row of a block-0 coaction has low digits zero;
+    - rho(L + m) equals rho(m) with each right-hand monomial shifted by L.
+    That is the column of L + m being m's block-0 column relabelled: the row
+    ((0, 0, 0), m) shifts onto ((0, 0, 0), L + m), so the two columns differ
+    exactly where the two coactions do.  A monomial that fails either raises
+    AssertionError naming it and a row where it fails; nothing is solved
+    block by block instead.  Reads rho_mono once per basis monomial and
+    builds columns for block 0 only.  Returns the block-0 monomials and
     their columns, in basis order of the top digit.
     """
-    params = cache.dparams
-    field = params.field
-    top = params.ell ** params.level
+    params, top = cache.dparams, cache.top
     lower = AlgebraParams(params.ell, params.level - 1, params.root_exponent)
-
-    def column(mono):
-        col = dict(cache.rho_mono(mono).terms)
-        _acc(col, ((0, 0, 0), mono), -field.one())
-        return col
-
     monos = [(a * top, b * top, c * top)
              for a, b, c in basis_monomials(cache.uparams)]
-    columns = [column(mono) for mono in monos]
-    for mono, col in zip(monos, columns):
-        for row in col:
+    coactions = [cache.rho_mono(mono).terms for mono in monos]
+    for mono, terms in zip(monos, coactions):
+        for row in terms:
             if any(x % top for x in row[1]):
                 raise AssertionError(
                     f"rho({mono}) has the row {row} outside the block of "
@@ -305,17 +302,21 @@ def _block_zero(cache: _HopfCache):
         if label == (0, 0, 0):
             continue
         m0, n0, p0 = label
-        for base, base_col in zip(monos, columns):
+        for base, base_terms in zip(monos, coactions):
             mono = (base[0] + m0, base[1] + n0, base[2] + p0)
-            col = column(mono)
+            terms = cache.rho_mono(mono).terms
             shifted = {(u, (m + m0, n + n0, p + p0)): v
-                       for (u, (m, n, p)), v in base_col.items()}
-            if col != shifted:
-                row = min(r for r in col.keys() | shifted.keys()
-                          if col.get(r) != shifted.get(r))
+                       for (u, (m, n, p)), v in base_terms.items()}
+            if terms != shifted:
+                row = min(r for r in terms.keys() | shifted.keys()
+                          if terms.get(r) != shifted.get(r))
                 raise AssertionError(
                     f"rho({mono}) is not the relabelled block-0 column of "
                     f"rho({base}): they differ at the row {row}")
+    minus_one = -cache.field.one()
+    columns = [dict(terms) for terms in coactions]
+    for mono, col in zip(monos, columns):
+        _acc(col, ((0, 0, 0), mono), minus_one)
     return monos, columns
 
 
@@ -366,10 +367,11 @@ def convolve(f, g, params: AlgebraParams) -> dict[Monomial, AlgElement]:
     cache = _cache(params)
     out: dict[Monomial, AlgElement] = {}
     for mono in basis_monomials(cache.uparams):
-        acc = AlgElement.zero(params)
+        acc: dict[Monomial, CycNum] = {}
         for (u1, u2), coeff in cache.delta_mono(mono).terms.items():
-            acc = acc + (f(u1) * g(u2)).scaled(coeff)
-        out[mono] = acc
+            for key, val in (f(u1) * g(u2)).terms.items():
+                _acc(acc, key, val * coeff)
+        out[mono] = AlgElement(params, acc)
     return out
 
 
@@ -427,7 +429,7 @@ def convolution_inverse(f, params: AlgebraParams):
             for b in range(ell):
                 mono = (a, b, c)
                 lead_k = (b + c) % ell
-                rest = AlgElement.zero(params)
+                rest: dict[Monomial, CycNum] = {}
                 lead_coeff = None
                 for (u1, u2), coeff in cache.delta_mono(mono).terms.items():
                     if u2 == mono and u1 == (0, lead_k, 0):
@@ -436,10 +438,11 @@ def convolution_inverse(f, params: AlgebraParams):
                     known = g.get(u2)
                     if known is None:
                         raise AssertionError("coradical filtration order violated")
-                    rest = rest + (f(u1) * known).scaled(coeff)
+                    for key, val in (f(u1) * known).terms.items():
+                        _acc(rest, key, val * coeff)
                 if lead_coeff is None:
                     raise AssertionError("leading coproduct term missing")
-                solved = group_inverse[lead_k] * (-rest)
+                solved = group_inverse[lead_k] * -AlgElement(params, rest)
                 g[mono] = solved.scaled(lead_coeff.inverse())
     return lambda mono: g[mono]
 
@@ -552,7 +555,7 @@ def hopf_axiom_check(params: AlgebraParams) -> dict:
             r = cache.rho_mono(mono)
             return _tensor3_delta_left(r, cache) == _tensor3_rho_right(r, cache)
 
-        top = params.ell ** params.level
+        top = cache.top
         top_monos = [(a * top, b * top, c * top) for a, b, c in u_monos]
         run("coaction_coassociativity", top_monos, coaction_coassoc)
 

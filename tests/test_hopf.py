@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -132,6 +133,23 @@ def test_coinvariants_refuse_a_column_outside_its_block(monkeypatch):
         coinvariants(AlgebraParams(3, 1))
 
 
+def test_coinvariants_refuse_a_block_zero_row_outside_its_block(monkeypatch):
+    # Every coaction leaks the same shifted row, so each block is still
+    # block 0 relabelled; only the row check on block 0 can see the leak.
+    original = hopf._HopfCache.rho_mono
+
+    def leaky(self, mono):
+        out = original(self, mono)
+        terms = dict(out.terms)
+        terms[((0, 0, 0), (mono[0] + 1, mono[1], mono[2]))] = self.field.one()
+        return Tensor2(out.uparams, out.dparams, terms)
+
+    monkeypatch.setattr(hopf._HopfCache, "rho_mono", leaky)
+    with pytest.raises(AssertionError, match=r"rho\(\(0, 0, 0\)\) has the row "
+                       r"\(\(0, 0, 0\), \(1, 0, 0\)\) outside the block"):
+        coinvariants(AlgebraParams(3, 1))
+
+
 def _ref_coinvariants(params):
     """The per-block solve that `coinvariants` replaced, kept as its oracle:
     one nullspace per low-digit label, each from its own rho columns."""
@@ -227,6 +245,111 @@ def test_cleaving_map_convolution_inverse():
     for mono in basis_monomials(u):
         assert left[mono] == ident(mono)
         assert right[mono] == ident(mono)
+
+
+def _ref_convolve(f, g, params):
+    """The element sum that `convolve` replaced, kept as its oracle: one new
+    element per coproduct term."""
+    cache = hopf._cache(params)
+    out = {}
+    for mono in basis_monomials(cache.uparams):
+        acc = AlgElement.zero(params)
+        for (u1, u2), coeff in cache.delta_mono(mono).terms.items():
+            acc = acc + (f(u1) * g(u2)).scaled(coeff)
+        out[mono] = acc
+    return out
+
+
+def _ref_convolution_inverse(f, params):
+    """The element sum that `convolution_inverse` replaced, kept as its
+    oracle."""
+    cache = hopf._cache(params)
+    ell = params.ell
+    g = {}
+    group_inverse = {}
+    for b in range(ell):
+        group_inverse[b] = element_inverse(f((0, b, 0)))
+        g[(0, b, 0)] = group_inverse[b]
+    for degree in range(1, 2 * ell - 1):
+        for a in range(max(0, degree - ell + 1), min(degree, ell - 1) + 1):
+            c = degree - a
+            for b in range(ell):
+                mono = (a, b, c)
+                lead_k = (b + c) % ell
+                rest = AlgElement.zero(params)
+                lead_coeff = None
+                for (u1, u2), coeff in cache.delta_mono(mono).terms.items():
+                    if u2 == mono and u1 == (0, lead_k, 0):
+                        lead_coeff = coeff
+                        continue
+                    rest = rest + (f(u1) * g[u2]).scaled(coeff)
+                solved = group_inverse[lead_k] * (-rest)
+                g[mono] = solved.scaled(lead_coeff.inverse())
+    return g
+
+
+@pytest.mark.parametrize("ell,level,root_exponent",
+                         [(3, 1, 1), (3, 1, 2), (3, 2, 1), (5, 1, 1)])
+def test_convolution_tables_match_the_element_sums(ell, level, root_exponent):
+    p = AlgebraParams(ell, level, root_exponent)
+    u = uq_params(ell, root_exponent)
+
+    def gmap(mono):
+        return gamma(AlgElement(u, {mono: p.field.one()}), p)
+
+    for f in (gmap, unit_counit_map(p)):
+        inv = convolution_inverse(f, p)
+        ref_inv = _ref_convolution_inverse(f, p)
+        assert {mono: inv(mono) for mono in basis_monomials(u)} == ref_inv
+        for g in (f, inv):
+            assert convolve(f, g, p) == _ref_convolve(f, g, p)
+
+
+def _ref_element_sum(table, zero, x):
+    """zero + sum of table(mono).scaled(coeff) over the terms of x, one new
+    element per term, as uq_coproduct, uq_antipode and rho summed before."""
+    out = zero
+    for mono, coeff in x.terms.items():
+        out = out + table(mono).scaled(coeff)
+    return out
+
+
+def _random_element(params, rng, size=6):
+    field = params.field
+    return AlgElement(params, {
+        tuple(rng.randrange(params.bound) for _ in range(3)):
+            field.lambda_pow(rng.randrange(params.ell)) * field.rational(rng.randint(1, 4))
+        for _ in range(size)})
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_coproduct_antipode_and_coaction_match_the_element_sums(seed):
+    rng = random.Random(seed)
+    for ell in (3, 5):
+        u = uq_params(ell)
+        cache = hopf._cache(u)
+        x = _random_element(u, rng)
+        assert uq_coproduct(x) == _ref_element_sum(cache.delta_mono, Tensor2(u, u), x)
+        assert uq_antipode(x) == _ref_element_sum(cache.antipode_mono,
+                                                  AlgElement.zero(u), x)
+        assert rho(x) == _ref_element_sum(cache.rho_mono, Tensor2(u, u), x)
+    for level in (1, 2):
+        p = AlgebraParams(3, level)
+        cache = hopf._cache(p)
+        x = _random_element(p, rng)
+        assert rho(x) == _ref_element_sum(cache.rho_mono,
+                                          Tensor2(cache.uparams, p), x)
+
+
+def test_tensor_scaled_accepts_int_and_fraction_factors():
+    u = uq_params(3)
+    d = uq_coproduct(generator(u, "E", 0) + generator(u, "F", 0))
+    assert d.scaled(2) == d + d
+    half = d.scaled(Fraction(1, 2))
+    assert half == d.scaled(u.field.rational(Fraction(1, 2)))
+    assert half + half == d
+    assert d.scaled(0) == Tensor2(u, u)
+    assert d.scaled(0).is_zero()
 
 
 def test_element_inverse_paths():
