@@ -9,13 +9,13 @@ Generators E[i], F[i], K[i] for 0 <= i <= N, subject to:
   * the level-j bracket
         E[j] F[j] - F[j] E[j] = (K[j] - K[j]^-1)/(lam - lam^-1).
 
-The bracket's canonical form was chosen by exhaustive analysis: any system
-of lower-level correction terms on its right side that keeps the universal
-highest-weight modules well defined, the comodule map multiplicative, and
-normal forms associative spans a gauge family that none of the observable
-structure (characters, simple dimensions, coinvariants, the tensor
-factorization of simples) can distinguish; the empty correction sum is the
-unique parameter-free member, uniform in (ell, level, root choice).
+The bracket has no lower-level correction terms, so the package implements
+the tensor power u^(x)(N+1) below, which satisfies the abstract's claims (a
+u-cleft extension over the level-(N-1) coinvariants, Steinberg-type
+factorization of simples).  Those hold for any tensor power, so they do not
+show that the paper's algebra lacks cross-level terms; the char-p mirror has
+them ([X^(p), Y] = X^(p-1) + H X^(p-1) in Dist(G_2)), and the center tells
+the two kinds apart.
 
 Elements are stored on the normal basis F^(m) K^(n) E^(p) with
 0 <= m, n, p < ell^(N+1): m and p are ell-adic multi-indices of divided powers

@@ -277,8 +277,8 @@ def _verify_hopf(args, out) -> int:
 
 def _verify_cleft(args, out) -> int:
     from .algebra import AlgElement, inclusion_iota
-    from .hopf import (coinvariants, convolution_inverse, convolve, gamma,
-                       gamma_colinear, is_coinvariant, unit_counit_map)
+    from .hopf import (coinvariants, convolve, gamma, gamma_colinear,
+                       is_coinvariant, section_inverse, unit_counit_map)
 
     params = _params(args)
     if params.level < 1:
@@ -301,7 +301,7 @@ def _verify_cleft(args, out) -> int:
         return gamma(AlgElement(uparams, {mono: params.field.one()}), params)
 
     colinear = gamma_colinear(params)
-    inverse = convolution_inverse(gamma_map, params)
+    inverse = section_inverse(params)
     identity = unit_counit_map(params)
     left = convolve(gamma_map, inverse, params)
     right = convolve(inverse, gamma_map, params)

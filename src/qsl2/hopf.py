@@ -30,14 +30,15 @@ solving, it checks on every basis monomial that the coaction is that of its
 block-0 monomial with the low digits added on the right, and raises if it
 is not.  `hopf_axiom_check` makes the same check and then tests
 coassociativity and the counit of the coaction once per top digit.  The
-section gamma(F^(a) K^b E^(c)) = F[N]^(a) K[N]^b E[N]^(c) is a colinear,
-convolution-invertible cleaving map.
+section gamma(F^(a) K^b E^(c)) = F[N]^(a) K[N]^b E[N]^(c) embeds u as the
+top tensor factor, so it is a colinear algebra map; its convolution inverse
+is gamma o S, and `verify cleft` checks it on both sides.
 """
 
 from __future__ import annotations
 
 from .algebra import (AlgebraParams, AlgElement, Monomial, basis_monomials,
-                      counit_eps, engine_for, generator, uq_params)
+                      engine_for, generator, uq_params)
 from .cyclotomic import CycNum, _acc
 from .linalg import nullspace_of_columns
 from .qcomb import q_factorial, q_int
@@ -253,9 +254,13 @@ def rho(x: AlgElement) -> Tensor2:
 
 
 def gamma(u_elem: AlgElement, params: AlgebraParams) -> AlgElement:
-    """The cleaving section: basis-wise, push every letter to the top level."""
+    """The cleaving section: basis-wise, push every letter to the top level.
+    An algebra map onto the top tensor factor, so its convolution inverse is
+    gamma o S (`section_inverse`), which `verify cleft` checks two-sided."""
     if u_elem.params.level != 0:
         raise ValueError("the section starts from the level-0 algebra")
+    if (u_elem.params.ell, u_elem.params.root_exponent) != (params.ell, params.root_exponent):
+        raise ValueError("incompatible root-of-unity data")
     shift = params.ell ** params.level
     out: dict[Monomial, CycNum] = {}
     for (a, b, c), coeff in u_elem.terms.items():
@@ -375,76 +380,15 @@ def convolve(f, g, params: AlgebraParams) -> dict[Monomial, AlgElement]:
     return out
 
 
-def element_inverse(a: AlgElement) -> AlgElement:
-    """Inverse of a nonzero scalar times a K monomial, by negating its digits.
-
-    These are the only elements `convolution_inverse` inverts: f(K^b) is a K
-    monomial for the section gamma and for the unit-counit map.  An element
-    of counit zero has no inverse and raises ZeroDivisionError; any other
-    element raises ValueError.
-    """
-    params = a.params
-    ell = params.ell
-    if len(a.terms) == 1:
-        (mono, coeff), = a.terms.items()
-        m, n, p = mono
-        if m == 0 and p == 0:
-            inv_n, power, rest = 0, 1, n
-            while rest:
-                rest, d = divmod(rest, ell)
-                inv_n += ((-d) % ell) * power
-                power *= ell
-            return AlgElement.monomial(params, 0, inv_n, 0, coeff=coeff.inverse())
-    if counit_eps(a).is_zero():
-        raise ZeroDivisionError("element has counit zero, hence no inverse")
-    raise ValueError("element_inverse inverts only a nonzero scalar times "
-                     "a K monomial")
-
-
-def convolution_inverse(f, params: AlgebraParams):
-    """Convolution inverse of a linear map from u to the level-N algebra.
-
-    Solved triangularly along the coradical filtration: group-likes first
-    (each f(K^b) must be a nonzero scalar times a K monomial, see
-    `element_inverse`; a group-like where f has counit zero is named),
-    then increasing E/F-degree.  For x = F^(a) K^b E^(c), the coproduct has
-    exactly one summand whose left factor is group-like, namely
-    K^(b+c) (x) x itself; peeling it off determines the inverse on x from
-    already-known lower-degree values.
-    """
-    cache = _cache(params)
-    ell = params.ell
-    g: dict[Monomial, AlgElement] = {}
-    group_inverse: dict[int, AlgElement] = {}
-    for b in range(ell):
-        try:
-            group_inverse[b] = element_inverse(f((0, b, 0)))
-        except ZeroDivisionError as exc:
-            raise ZeroDivisionError(
-                f"map is not invertible on the group-like K^{b}") from exc
-        g[(0, b, 0)] = group_inverse[b]
-    for degree in range(1, 2 * ell - 1):
-        for a in range(max(0, degree - ell + 1), min(degree, ell - 1) + 1):
-            c = degree - a
-            for b in range(ell):
-                mono = (a, b, c)
-                lead_k = (b + c) % ell
-                rest: dict[Monomial, CycNum] = {}
-                lead_coeff = None
-                for (u1, u2), coeff in cache.delta_mono(mono).terms.items():
-                    if u2 == mono and u1 == (0, lead_k, 0):
-                        lead_coeff = coeff
-                        continue
-                    known = g.get(u2)
-                    if known is None:
-                        raise AssertionError("coradical filtration order violated")
-                    for key, val in (f(u1) * known).terms.items():
-                        _acc(rest, key, val * coeff)
-                if lead_coeff is None:
-                    raise AssertionError("leading coproduct term missing")
-                solved = group_inverse[lead_k] * -AlgElement(params, rest)
-                g[mono] = solved.scaled(lead_coeff.inverse())
-    return lambda mono: g[mono]
+def section_inverse(params: AlgebraParams):
+    """The convolution inverse x |-> gamma(S(x)) of the section, tabulated:
+    gamma is an algebra map onto the top tensor factor, so sum gamma(S(x1))
+    gamma(x2) = gamma(sum S(x1) x2) = eps(x) 1, and the same on the right."""
+    uparams = uq_params(params.ell, params.root_exponent)
+    one = params.field.one()
+    table = {mono: gamma(uq_antipode(AlgElement(uparams, {mono: one})), params)
+             for mono in basis_monomials(uparams)}
+    return table.__getitem__
 
 
 # -- axiom checks ---------------------------------------------------------------
@@ -492,6 +436,7 @@ def hopf_axiom_check(params: AlgebraParams) -> dict:
     """
     cache = _cache(params)
     up = cache.uparams
+    eng = engine_for(up)
     field = params.field
     report: dict = {"ell": params.ell, "level": params.level, "checks": {}}
 
@@ -527,16 +472,16 @@ def hopf_axiom_check(params: AlgebraParams) -> dict:
     run("counit", u_monos, counit_both)
 
     def antipode_both(mono):
-        x = AlgElement(up, {mono: field.one()})
-        d = cache.delta_mono(mono)
-        left = AlgElement.zero(up)
-        right = AlgElement.zero(up)
-        for (u1, u2), coeff in d.terms.items():
-            s1 = cache.antipode_mono(u1)
-            s2 = cache.antipode_mono(u2)
-            left = left + (s1 * AlgElement(up, {u2: field.one()})).scaled(coeff)
-            right = right + (AlgElement(up, {u1: field.one()}) * s2).scaled(coeff)
-        target = AlgElement.unit(up).scaled(counit_eps(x))
+        left: dict[Monomial, CycNum] = {}
+        right: dict[Monomial, CycNum] = {}
+        for (u1, u2), coeff in cache.delta_mono(mono).terms.items():
+            for m, c in cache.antipode_mono(u1).terms.items():
+                for key, val in eng.mono_mul(m, u2).items():
+                    _acc(left, key, coeff * c * val)
+            for m, c in cache.antipode_mono(u2).terms.items():
+                for key, val in eng.mono_mul(u1, m).items():
+                    _acc(right, key, coeff * c * val)
+        target = {(0, 0, 0): field.one()} if mono[0] == mono[2] == 0 else {}
         return left == target and right == target
 
     run("antipode", u_monos, antipode_both)

@@ -15,6 +15,8 @@ The same sweep serves Q(lam) (`_acc`) and F_p (`_acc_mod`, `rank_mod_p`).
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .cyclotomic import CycField, CycNum, _acc
 
 
@@ -60,7 +62,7 @@ class Mat:
         return self + other.scaled(-1)
 
     def scaled(self, factor) -> "Mat":
-        if isinstance(factor, int):
+        if isinstance(factor, (int, Fraction)):
             factor = self.field.rational(factor)
         if factor.is_zero():
             return Mat(self.nrows, self.ncols, self.field)

@@ -1,15 +1,15 @@
+import io
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from qsl2 import hopf
+from qsl2 import cli, hopf
 from qsl2.algebra import (AlgebraParams, AlgElement, basis_monomials,
                           generator, uq_params)
-from qsl2.hopf import (Tensor2, coinvariants, convolution_inverse, convolve,
-                       element_inverse, gamma, gamma_colinear,
-                       hopf_axiom_check, is_coinvariant, rho,
+from qsl2.hopf import (Tensor2, coinvariants, convolve, gamma, gamma_colinear,
+                       hopf_axiom_check, is_coinvariant, rho, section_inverse,
                        unit_counit_map, uq_antipode, uq_coproduct)
 from qsl2.qcomb import q_factorial, q_int
 
@@ -219,12 +219,13 @@ def test_gamma_examples_and_colinearity():
     assert gamma_colinear(p)
 
 
-def test_convolution_identity_is_self_inverse():
-    p = AlgebraParams(3, 1)
-    ident = unit_counit_map(p)
-    inv = convolution_inverse(ident, p)
-    for mono in basis_monomials(uq_params(3)):
-        assert inv(mono) == ident(mono)
+def test_gamma_refuses_other_root_of_unity_data():
+    with pytest.raises(ValueError, match="incompatible root-of-unity data"):
+        gamma(generator(uq_params(3), "E", 0), AlgebraParams(5, 1))
+    with pytest.raises(ValueError, match="incompatible root-of-unity data"):
+        gamma(generator(uq_params(5, 2), "E", 0), AlgebraParams(5, 1))
+    assert gamma(generator(uq_params(5, 2), "E", 0), AlgebraParams(5, 1, 2)) \
+        == generator(AlgebraParams(5, 1, 2), "E", 1)
 
 
 def test_cleaving_map_convolution_inverse():
@@ -235,7 +236,7 @@ def test_cleaving_map_convolution_inverse():
     def gmap(mono):
         return gamma(AlgElement(u, {mono: field.one()}), p)
 
-    ginv = convolution_inverse(gmap, p)
+    ginv = section_inverse(p)
     # on group-likes: the inverse is the negative K power at the top level
     for b in range(3):
         assert ginv((0, b, 0)) == AlgElement.monomial(p, 0, ((3 - b) % 3) * 3, 0)
@@ -261,14 +262,23 @@ def _ref_convolve(f, g, params):
 
 
 def _ref_convolution_inverse(f, params):
-    """The element sum that `convolution_inverse` replaced, kept as its
-    oracle."""
+    """The convolution inverse of f solved triangularly along the coradical
+    filtration, without the antipode: the oracle for `section_inverse`.
+    f must send each K^b to a nonzero scalar times a K monomial, whose
+    inverse negates each K digit and inverts the scalar.  For
+    x = F^(a) K^b E^(c), the coproduct term K^(b+c) (x) x is peeled off, and
+    the rest is known from lower degrees."""
     cache = hopf._cache(params)
     ell = params.ell
     g = {}
     group_inverse = {}
     for b in range(ell):
-        group_inverse[b] = element_inverse(f((0, b, 0)))
+        ((m, n, p), coeff), = f((0, b, 0)).terms.items()
+        assert m == p == 0
+        inv_n = sum((-(n // ell ** i) % ell) * ell ** i
+                    for i in range(params.level + 1))
+        group_inverse[b] = AlgElement.monomial(params, 0, inv_n, 0,
+                                               coeff=coeff.inverse())
         g[(0, b, 0)] = group_inverse[b]
     for degree in range(1, 2 * ell - 1):
         for a in range(max(0, degree - ell + 1), min(degree, ell - 1) + 1):
@@ -297,12 +307,35 @@ def test_convolution_tables_match_the_element_sums(ell, level, root_exponent):
     def gmap(mono):
         return gamma(AlgElement(u, {mono: p.field.one()}), p)
 
-    for f in (gmap, unit_counit_map(p)):
-        inv = convolution_inverse(f, p)
-        ref_inv = _ref_convolution_inverse(f, p)
-        assert {mono: inv(mono) for mono in basis_monomials(u)} == ref_inv
-        for g in (f, inv):
-            assert convolve(f, g, p) == _ref_convolve(f, g, p)
+    inv = section_inverse(p)
+    assert {mono: inv(mono) for mono in basis_monomials(u)} \
+        == _ref_convolution_inverse(gmap, p)
+    for f, g in ((gmap, gmap), (gmap, inv), (inv, gmap)):
+        assert convolve(f, g, p) == _ref_convolve(f, g, p)
+
+
+def _double_the_antipode_of_e(monkeypatch):
+    original = hopf._HopfCache.antipode_mono
+
+    def doubled(self, mono):
+        s = original(self, mono)
+        return s.scaled(2) if mono == (0, 0, 1) else s
+    monkeypatch.setattr(hopf._HopfCache, "antipode_mono", doubled)
+
+
+def test_hopf_axiom_check_reports_a_wrong_antipode(monkeypatch):
+    _double_the_antipode_of_e(monkeypatch)
+    report = hopf_axiom_check(uq_params(3))
+    assert not report["pass"]
+    assert report["checks"]["antipode"]["failures"]
+    assert report["checks"]["coassociativity"]["pass"]
+
+
+def test_verify_cleft_fails_on_a_wrong_antipode(monkeypatch):
+    _double_the_antipode_of_e(monkeypatch)
+    out = io.StringIO()
+    assert cli.main(["verify", "cleft", "--ell", "3", "--N", "1"], out=out) == 1
+    assert "convolution inverse two-sided: FAIL\n" in out.getvalue()
 
 
 def _ref_element_sum(table, zero, x):
@@ -350,21 +383,6 @@ def test_tensor_scaled_accepts_int_and_fraction_factors():
     assert half + half == d
     assert d.scaled(0) == Tensor2(u, u)
     assert d.scaled(0).is_zero()
-
-
-def test_element_inverse_paths():
-    p = AlgebraParams(3, 1)
-    field = p.field
-    k = AlgElement.monomial(p, 0, 4, 0, coeff=field.rational(2))
-    inv = element_inverse(k)
-    assert k * inv == AlgElement.unit(p)
-    assert inv * k == AlgElement.unit(p)
-    u = uq_params(3)
-    with pytest.raises(ZeroDivisionError):
-        element_inverse(generator(u, "E", 0))
-    # K + E is invertible, but not a scalar times a K monomial
-    with pytest.raises(ValueError, match="only a nonzero scalar times a K monomial"):
-        element_inverse(generator(u, "K", 0) + generator(u, "E", 0))
 
 
 def test_tensor_equality_compares_parameters():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -33,6 +34,17 @@ def test_diagonal_inverse():
     d.set(0, 0, field.lam())
     d.set(1, 1, field.rational(2))
     assert d @ d.diagonal_inverse() == Mat.identity(2, field)
+
+
+def test_scaled_accepts_int_and_fraction_factors():
+    field = CycField(3)
+    m = Mat.identity(2, field)
+    m.set(0, 1, field.lam())
+    assert m.scaled(2) == m + m
+    half = m.scaled(Fraction(1, 2))
+    assert half == m.scaled(field.rational(Fraction(1, 2)))
+    assert half + half == m
+    assert m.scaled(0) == Mat.zero(2, 2, field)
 
 
 def test_add_and_sub_refuse_different_shapes():
