@@ -14,14 +14,14 @@ from .algebra import (AlgebraParams, AlgElement, all_residues_zero,
                       basis_monomials, counit_eps, divided_power, generator,
                       grading_degree, inclusion_iota, k_binom_element,
                       k_monomial, projection_pi, relation_residues,
-                      uq_params)
+                      relations, uq_params)
 from .cyclotomic import CycField, CycNum, cyclotomic_polynomial
 from .errors import ResourceCapError
 from .exprs import (ExprSyntaxError, ast_to_string, element_to_json, evaluate,
                     format_cyc, format_element, parse_expr)
 from .hopf import (Tensor2, coinvariants, convolve, gamma, gamma_colinear,
-                   hopf_axiom_check, is_coinvariant, rho, section_inverse,
-                   unit_counit_map, uq_antipode, uq_coproduct)
+                   hopf_axiom_check, is_coinvariant, rho, section,
+                   section_inverse, unit_counit_map, uq_antipode, uq_coproduct)
 from .hyperalgebra import (HypParams, erratum_report, erratum_text,
                            frobenius_pi, ga_gm_models, hx_normal_order,
                            hy_normal_order, hyp_multiply, kernel_dimensions,

@@ -9,6 +9,10 @@ Generators E[i], F[i], K[i] for 0 <= i <= N, subject to:
   * the level-j bracket
         E[j] F[j] - F[j] E[j] = (K[j] - K[j]^-1)/(lam - lam^-1).
 
+This presentation is written once, in `relations`, which evaluates it in any
+ring: `relation_residues` on algebra elements, `modules.rep_relation_check`
+on the matrices of a module.
+
 The bracket has no lower-level correction terms, so the package implements
 the tensor power u^(x)(N+1) below, which satisfies the abstract's claims (a
 u-cleft extension over the level-(N-1) coinvariants, Steinberg-type
@@ -34,8 +38,10 @@ the level.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -357,7 +363,10 @@ def k_monomial(params: AlgebraParams, n: int) -> AlgElement:
 
 
 def k_binom_element(params: AlgebraParams, shift: int, t: int) -> AlgElement:
-    """The digitwise K-binomial <K; shift; t> expanded into K monomials."""
+    """The digitwise K-binomial <K; shift; t> expanded into K monomials,
+    for a depth 0 <= t < ell^(N+1); any integer shift."""
+    if not 0 <= t < params.bound:
+        raise ValueError(f"K-binomial depth {t} outside [0, {params.bound})")
     field, ell = params.field, params.ell
     terms: dict[int, CycNum] = {0: field.one()}
     power = 1
@@ -437,57 +446,52 @@ def inclusion_iota(x: AlgElement, target_level: int | None = None) -> AlgElement
 # -- relation verification ----------------------------------------------------
 
 
-def bracket_rhs(params: AlgebraParams, j: int) -> AlgElement:
-    """Right-hand side of the level-j bracket relation, assembled from basis
-    monomials (independently of the multiplication engine's memo tables)."""
-    field = params.field
-    power = params.ell ** j
+def relations(E, F, K, Kinv, one, field: CycField):
+    """LHS - RHS of every defining relation instance, as (name, i, j, residue).
+
+    The presentation is written here once.  E, F, K and Kinv hold the images
+    of the generators, indexed by level, in any ring whose elements multiply
+    with `*`, subtract, and scale by a field element with `scaled`; `one` is
+    the ring's unit.  E[i]^ell and K[i]^ell are ell-fold products.
+    """
+    lam2, lam_neg2 = field.lambda_pow(2), field.lambda_pow(-2)
     inv = (field.lam() - field.lambda_pow(-1)).inverse()
-    return (generator(params, "F", j) * generator(params, "E", j)
-            + k_monomial(params, power).scaled(inv)
-            - k_monomial(params, (params.ell - 1) * power).scaled(inv))
+    levels = range(len(E))
+
+    def power(x):
+        return functools.reduce(operator.mul, [x] * field.ell)
+
+    for i in levels:
+        for j in levels:
+            yield "k_commute", i, j, K[i] * K[j] - K[j] * K[i]
+            twist = lam2 if i == j else field.one()
+            yield "k_twist_e", i, j, K[i] * E[j] - (E[j] * K[i]).scaled(twist)
+            twist = lam_neg2 if i == j else field.one()
+            yield "k_twist_f", i, j, K[i] * F[j] - (F[j] * K[i]).scaled(twist)
+            yield "e_commute", i, j, E[i] * E[j] - E[j] * E[i]
+            yield "f_commute", i, j, F[i] * F[j] - F[j] * F[i]
+            if i != j:
+                yield "ef_commute", i, j, E[i] * F[j] - F[j] * E[i]
+        yield "k_order", i, i, power(K[i]) - one
+        yield "e_nilpotent", i, i, power(E[i])
+        yield "f_nilpotent", i, i, power(F[i])
+        yield "ef_bracket", i, i, \
+            E[i] * F[i] - (F[i] * E[i] + (K[i] - Kinv[i]).scaled(inv))
 
 
 def relation_residues(params: AlgebraParams) -> list[dict]:
-    """LHS - RHS of every defining relation instance, computed with `AlgElement` products.
+    """`relations` on the generators as `AlgElement`s, Kinv[i] assembled from
+    its basis monomial rather than by the engine.
 
     An all-zero report means the normal-form structure constants satisfy
     the presentation.
     """
-    ell, level = params.ell, params.level
-    field = params.field
-    lam2 = field.lambda_pow(2)
-    lam_neg2 = field.lambda_pow(-2)
-    report: list[dict] = []
-
-    def record(name, i, j, residue: AlgElement):
-        report.append({
-            "relation": name,
-            "i": i,
-            "j": j,
-            "zero": residue.is_zero(),
-            "residue_terms": len(residue.terms),
-        })
-
-    E = {i: generator(params, "E", i) for i in range(level + 1)}
-    F = {i: generator(params, "F", i) for i in range(level + 1)}
-    K = {i: generator(params, "K", i) for i in range(level + 1)}
-    for i in range(level + 1):
-        for j in range(level + 1):
-            record("k_commute", i, j, K[i] * K[j] - K[j] * K[i])
-            twist = lam2 if i == j else field.one()
-            record("k_twist_e", i, j, K[i] * E[j] - (E[j] * K[i]).scaled(twist))
-            twist = lam_neg2 if i == j else field.one()
-            record("k_twist_f", i, j, K[i] * F[j] - (F[j] * K[i]).scaled(twist))
-            record("e_commute", i, j, E[i] * E[j] - E[j] * E[i])
-            record("f_commute", i, j, F[i] * F[j] - F[j] * F[i])
-            if i != j:
-                record("ef_commute", i, j, E[i] * F[j] - F[j] * E[i])
-        record("k_order", i, i, K[i] ** ell - AlgElement.unit(params))
-        record("e_nilpotent", i, i, E[i] ** ell)
-        record("f_nilpotent", i, i, F[i] ** ell)
-        record("ef_bracket", i, i, E[i] * F[i] - bracket_rhs(params, i))
-    return report
+    gens = [[generator(params, kind, i) for i in range(params.level + 1)]
+            for kind in GENERATOR_KINDS]
+    return [{"relation": name, "i": i, "j": j, "zero": residue.is_zero(),
+             "residue_terms": len(residue.terms)}
+            for name, i, j, residue
+            in relations(*gens, AlgElement.unit(params), params.field)]
 
 
 def all_residues_zero(report: list[dict]) -> bool:

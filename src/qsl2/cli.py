@@ -117,10 +117,11 @@ def _build_parser() -> argparse.ArgumentParser:
     weight = p_rep.add_mutually_exclusive_group(required=True)
     weight.add_argument("--z", type=int, dest="weight", help="highest weight")
     weight.add_argument("--p", type=int, dest="weight", help="highest weight")
-    p_rep.add_argument("--module", choices=("simple", "verma"), default="simple",
-                       help="which module a character table describes")
+    p_rep.add_argument("--module", choices=("simple", "verma"),
+                       help="which module a character table describes "
+                       "(rep character only; default simple)")
     p_rep.add_argument("--dump-matrix", action="store_true",
-                       help="print the intertwiner entries")
+                       help="print the intertwiner entries (rep steinberg only)")
     p_rep.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
                        help="refuse a module dimension ell^(N+1) above this "
                        f"(default {DEFAULT_CAP})")
@@ -209,8 +210,8 @@ def _cmd_rep(args, out) -> int:
               [f"dim = {rep.dim}"], out)
         return 0
     if args.what == "character":
-        rep = simple(params, weight) if args.module == "simple" \
-            else verma(params, weight)
+        rep = verma(params, weight) if args.module == "verma" \
+            else simple(params, weight)
         table = character(rep)
         rows = [(list(w), mult) for w, mult in sorted(table.items())]
         if args.format == "csv":
@@ -277,8 +278,8 @@ def _verify_hopf(args, out) -> int:
 
 def _verify_cleft(args, out) -> int:
     from .algebra import AlgElement, inclusion_iota
-    from .hopf import (coinvariants, convolve, gamma, gamma_colinear,
-                       is_coinvariant, section_inverse, unit_counit_map)
+    from .hopf import (coinvariants, convolve, gamma_colinear, is_coinvariant,
+                       section, section_inverse, unit_counit_map)
 
     params = _params(args)
     if params.level < 1:
@@ -295,18 +296,13 @@ def _verify_cleft(args, out) -> int:
     dims_ok = report["dimension"] == report["expected"] == iota_dim
     span_ok = dims_ok and iota_inside
 
-    uparams = uq_params(params.ell, params.root_exponent)
-
-    def gamma_map(mono):
-        return gamma(AlgElement(uparams, {mono: params.field.one()}), params)
-
     colinear = gamma_colinear(params)
-    inverse = section_inverse(params)
+    gamma_of, inverse = section(params), section_inverse(params)
     identity = unit_counit_map(params)
-    left = convolve(gamma_map, inverse, params)
-    right = convolve(inverse, gamma_map, params)
+    left = convolve(gamma_of, inverse, params)
+    right = convolve(inverse, gamma_of, params)
     conv_ok = all(left[m] == identity(m) and right[m] == identity(m)
-                  for m in basis_monomials(uparams))
+                  for m in left)
 
     ok = span_ok and colinear and conv_ok
     lines = [
@@ -436,6 +432,13 @@ def main(argv=None, out=None) -> int:
             and args.suite not in CAPPED_SUITES:
         print(f"error: verify {args.suite} takes no --cap", file=sys.stderr)
         return 2
+    if args.command == "rep":
+        for flag, given, only in (("--module", args.module is not None, "character"),
+                                  ("--dump-matrix", args.dump_matrix, "steinberg")):
+            if given and args.what != only:
+                print(f"error: {flag} is supported only by 'rep {only}'",
+                      file=sys.stderr)
+                return 2
     try:
         if args.command in ("nf", "mul"):
             return _cmd_nf(args, out)

@@ -78,13 +78,6 @@ class Tensor2:
             _acc(out, key, val)
         return Tensor2(self.uparams, self.dparams, out)
 
-    def __sub__(self, other: "Tensor2") -> "Tensor2":
-        self._check(other)
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            _acc(out, key, -val)
-        return Tensor2(self.uparams, self.dparams, out)
-
     def scaled(self, factor) -> "Tensor2":
         if not isinstance(factor, CycNum):  # an int or a Fraction
             factor = self.uparams.field.rational(factor)
@@ -115,9 +108,6 @@ class Tensor2:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def items(self):
-        return sorted(self.terms.items())
-
 
 class _HopfCache:
     """Per-(ell, root, level) tables of coproducts and antipodes, and the
@@ -137,14 +127,13 @@ class _HopfCache:
     # -- coproduct of the small quantum group --------------------------------
 
     def _delta_gen(self, kind: str) -> Tensor2:
+        """Coproduct of E or F."""
         up = self.uparams
         one = AlgElement.unit(up)
-        e, f, k = (generator(up, g, 0) for g in ("E", "F", "K"))
+        x = generator(up, kind, 0)
         if kind == "E":
-            return Tensor2.of(e, one) + Tensor2.of(k, e)
-        if kind == "F":
-            return Tensor2.of(f, generator(up, "Kinv", 0)) + Tensor2.of(one, f)
-        return Tensor2.of(k, k)
+            return Tensor2.of(x, one) + Tensor2.of(generator(up, "K", 0), x)
+        return Tensor2.of(x, generator(up, "Kinv", 0)) + Tensor2.of(one, x)
 
     def _delta_pow(self, kind: str, c: int) -> Tensor2:
         """Coproduct of a divided power E^(c) or F^(c)."""
@@ -380,6 +369,15 @@ def convolve(f, g, params: AlgebraParams) -> dict[Monomial, AlgElement]:
     return out
 
 
+def section(params: AlgebraParams):
+    """The section gamma, tabulated on the basis of u."""
+    uparams = uq_params(params.ell, params.root_exponent)
+    one = params.field.one()
+    table = {mono: gamma(AlgElement(uparams, {mono: one}), params)
+             for mono in basis_monomials(uparams)}
+    return table.__getitem__
+
+
 def section_inverse(params: AlgebraParams):
     """The convolution inverse x |-> gamma(S(x)) of the section, tabulated:
     gamma is an algebra map onto the top tensor factor, so sum gamma(S(x1))
@@ -529,14 +527,12 @@ def hopf_axiom_check(params: AlgebraParams) -> dict:
 def gamma_colinear(params: AlgebraParams) -> bool:
     """Whether rho(gamma(x)) = (id (x) gamma) Delta(x) on the whole u basis."""
     cache = _cache(params)
-    up = cache.uparams
-    for mono in basis_monomials(up):
-        x = AlgElement(up, {mono: params.field.one()})
-        lhs = rho(gamma(x, params))
+    gamma_of = section(params)
+    for mono in basis_monomials(cache.uparams):
+        lhs = rho(gamma_of(mono))
         rhs_terms: dict = {}
         for (u1, u2), coeff in cache.delta_mono(mono).terms.items():
-            g2 = gamma(AlgElement(up, {u2: params.field.one()}), params)
-            for md, cd in g2.terms.items():
+            for md, cd in gamma_of(u2).terms.items():
                 _acc(rhs_terms, (u1, md), coeff * cd)
         if lhs.terms != rhs_terms:
             return False

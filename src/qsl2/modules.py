@@ -15,6 +15,10 @@ therefore computed by reachability: v_t survives iff v_0 is reachable from
 v_t along single-generator moves with nonzero scalars.  That reasoning is
 not assumed silently: the weight-injectivity fact is itself covered by the
 test-suite (characters of universal modules are multiplicity-free).
+
+The module structures built from other modules read the algebra's own
+maps: `tensor_rep` is (u_rep (x) d_rep) o rho, with rho the coaction of
+`hopf`, and `pullback_via_pi` is u_rep o pi, with pi `projection_pi`.
 """
 
 from __future__ import annotations
@@ -25,8 +29,10 @@ import types
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import (AlgebraParams, AlgElement, GeneratorId, uq_params)
+from .algebra import (AlgebraParams, AlgElement, GeneratorId, generator,
+                      projection_pi, relations, uq_params)
 from .cyclotomic import CycField, CycNum
+from .hopf import rho
 from .linalg import Mat, nullspace_of_columns
 from .qcomb import q_factorial, q_int, to_digits
 
@@ -264,23 +270,13 @@ def primitive_vectors(rep: ModuleRep) -> list[tuple[dict[int, CycNum], tuple[int
 
 def pullback_via_pi(u_rep: ModuleRep, params: AlgebraParams) -> ModuleRep:
     """Make a small-quantum-group module a level-N module through the
-    level-lowering map: only the top generators act nontrivially."""
+    level-lowering map: each generator g acts by u_rep(pi(g))."""
     if u_rep.params.level != 0:
         raise ValueError("pullback starts from a level-0 module")
     if (u_rep.params.ell, u_rep.params.root_exponent) != (params.ell, params.root_exponent):
         raise ValueError("incompatible root-of-unity data")
-    field = params.field
-    action: dict[GeneratorId, Mat] = {}
-    top = params.level
-    for i in range(params.level + 1):
-        if i == top:
-            action[("E", i)] = u_rep.action[("E", 0)]
-            action[("F", i)] = u_rep.action[("F", 0)]
-            action[("K", i)] = u_rep.action[("K", 0)]
-        else:
-            action[("E", i)] = Mat.zero(u_rep.dim, u_rep.dim, field)
-            action[("F", i)] = Mat.zero(u_rep.dim, u_rep.dim, field)
-            action[("K", i)] = Mat.identity(u_rep.dim, field)
+    action = {(kind, i): element_matrix(u_rep, projection_pi(generator(params, kind, i), 0))
+              for i in range(params.level + 1) for kind in ("E", "F", "K")}
     return ModuleRep(params, u_rep.dim, action, u_rep.basis_labels)
 
 
@@ -299,33 +295,20 @@ def extend_by_trivial_top(rep: ModuleRep) -> ModuleRep:
 
 def tensor_rep(u_rep: ModuleRep, d_rep: ModuleRep) -> ModuleRep:
     """Tensor a small-quantum-group module onto a level-N module through the
-    comodule structure: the top generators act by
-
-        E[N] -> E (x) 1 + K (x) E[N]
-        F[N] -> F (x) K[N]^-1 + 1 (x) F[N]
-        K[N] -> K (x) K[N]
-
-    and the lower generators act on the right factor alone.
-    """
+    comodule structure: each generator g acts by the sum, over the terms
+    c (u1 (x) d1) of rho(g), of c u_rep(u1) (x) d_rep(d1)."""
     if u_rep.params.level != 0:
         raise ValueError("left tensor factor must be a level-0 module")
     params = d_rep.params
     if (u_rep.params.ell, u_rep.params.root_exponent) != (params.ell, params.root_exponent):
         raise ValueError("incompatible root-of-unity data")
-    field = params.field
-    iu = Mat.identity(u_rep.dim, field)
-    idm = Mat.identity(d_rep.dim, field)
-    ue, uf, uk = u_rep.mat("E", 0), u_rep.mat("F", 0), u_rep.mat("K", 0)
-    top = params.level
-    action: dict[GeneratorId, Mat] = {}
-    for i in range(top):
-        action[("E", i)] = iu.kron(d_rep.mat("E", i))
-        action[("F", i)] = iu.kron(d_rep.mat("F", i))
-        action[("K", i)] = iu.kron(d_rep.mat("K", i))
-    action[("E", top)] = ue.kron(idm) + uk.kron(d_rep.mat("E", top))
-    action[("F", top)] = uf.kron(d_rep.mat("Kinv", top)) + iu.kron(d_rep.mat("F", top))
-    action[("K", top)] = uk.kron(d_rep.mat("K", top))
     dim = u_rep.dim * d_rep.dim
+    action: dict[GeneratorId, Mat] = {}
+    for gid in d_rep.generator_ids():
+        mat = Mat.zero(dim, dim, params.field)
+        for (u1, d1), c in rho(generator(params, *gid)).terms.items():
+            mat = mat + monomial_matrix(u_rep, u1).kron(monomial_matrix(d_rep, d1)).scaled(c)
+        action[gid] = mat
     return ModuleRep(params, dim, action, tuple(range(dim)))
 
 
@@ -415,38 +398,14 @@ def steinberg_intertwiner(params: AlgebraParams, p: int) -> SteinbergResult:
 
 
 def rep_relation_check(rep: ModuleRep) -> list[dict]:
-    """Verify every defining relation as an exact matrix identity."""
-    from .algebra import bracket_rhs
-
+    """Verify every defining relation in `relations` as an exact matrix
+    identity, Kinv[i] acting by the matrix of the monomial K[i]^(ell-1)."""
     params = rep.params
-    field = params.field
-    ell = params.ell
-    report: list[dict] = []
-
-    def record(name, i, j, residue: Mat):
-        report.append({"relation": name, "i": i, "j": j,
-                       "zero": residue.is_zero_matrix(),
-                       "residue_entries": len(residue.entries)})
-
-    ident = Mat.identity(rep.dim, field)
-    for i in range(params.level + 1):
-        ki = rep.mat("K", i)
-        ei = rep.mat("E", i)
-        fi = rep.mat("F", i)
-        for j in range(params.level + 1):
-            kj, ej, fj = rep.mat("K", j), rep.mat("E", j), rep.mat("F", j)
-            record("k_commute", i, j, ki @ kj - kj @ ki)
-            twist = field.lambda_pow(2) if i == j else field.one()
-            record("k_twist_e", i, j, ki @ ej - (ej @ ki).scaled(twist))
-            twist = field.lambda_pow(-2) if i == j else field.one()
-            record("k_twist_f", i, j, ki @ fj - (fj @ ki).scaled(twist))
-            record("e_commute", i, j, ei @ ej - ej @ ei)
-            record("f_commute", i, j, fi @ fj - fj @ fi)
-            if i != j:
-                record("ef_commute", i, j, ei @ fj - fj @ ei)
-        record("k_order", i, i, ki.pow(ell) - ident)
-        record("e_nilpotent", i, i, ei.pow(ell))
-        record("f_nilpotent", i, i, fi.pow(ell))
-        rhs = element_matrix(rep, bracket_rhs(params, i))
-        record("ef_bracket", i, i, ei @ fi - rhs)
-    return report
+    levels = range(params.level + 1)
+    gens = [[rep.mat(kind, i) for i in levels] for kind in ("E", "F", "K")]
+    kinv = [monomial_matrix(rep, (0, (params.ell - 1) * params.ell ** i, 0))
+            for i in levels]
+    return [{"relation": name, "i": i, "j": j, "zero": residue.is_zero_matrix(),
+             "residue_entries": len(residue.entries)}
+            for name, i, j, residue
+            in relations(*gens, kinv, Mat.identity(rep.dim, params.field), params.field)]

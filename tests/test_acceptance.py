@@ -18,9 +18,9 @@ from qsl2.algebra import (AlgebraParams, AlgElement, all_residues_zero,
                           k_binom_element, relation_residues, uq_params)
 from qsl2.cyclotomic import CycField
 from qsl2.exprs import ast_to_string, parse_expr
-from qsl2.hopf import (coinvariants, convolve, gamma, gamma_colinear,
-                       hopf_axiom_check, is_coinvariant, section_inverse,
-                       unit_counit_map)
+from qsl2.hopf import (coinvariants, convolve, gamma_colinear,
+                       hopf_axiom_check, is_coinvariant, section,
+                       section_inverse, unit_counit_map)
 from qsl2.hyperalgebra import (HypParams, erratum_report, frobenius_pi,
                                hyp_basis, hyp_monomial, hyp_multiply,
                                kernel_dimensions, xy_normal_order)
@@ -137,10 +137,7 @@ def test_criterion_06_cleft_extension():
         p = AlgebraParams(ell, 1)
         uparams = uq_params(ell)
         assert gamma_colinear(p)
-
-        def gmap(mono, p=p, uparams=uparams):
-            return gamma(AlgElement(uparams, {mono: p.field.one()}), p)
-
+        gmap = section(p)
         ginv = section_inverse(p)
         ident = unit_counit_map(p)
         left = convolve(gmap, ginv, p)

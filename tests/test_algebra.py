@@ -3,12 +3,12 @@ import random
 import pytest
 
 from qsl2.algebra import (AlgebraParams, AlgElement, all_residues_zero,
-                          basis_monomials, bracket_rhs, counit_eps,
+                          basis_monomials, counit_eps,
                           divided_power, engine_for, generator, grading_degree,
-                          inclusion_iota, k_monomial, projection_pi,
-                          relation_residues, uq_params)
+                          inclusion_iota, k_binom_element, k_monomial,
+                          projection_pi, relation_residues, uq_params)
 from qsl2.modules import element_matrix, monomial_matrix, verma
-from qsl2.qcomb import gen_q_binom, q_factorial
+from qsl2.qcomb import gen_q_binom, k_binom_laurent, q_factorial
 
 
 def rand_mono(rng, params):
@@ -153,7 +153,6 @@ def test_top_bracket_normal_form():
         (0, 6, 0): -inv,
     })
     assert generator(p, "E", 1) * generator(p, "F", 1) == expected
-    assert bracket_rhs(p, 1) == expected
 
 
 def test_triangular_decomposition_hits_basis_once():
@@ -254,3 +253,24 @@ def test_mixed_params_refused():
     b = AlgElement.unit(AlgebraParams(3, 2))
     with pytest.raises(ValueError):
         a * b
+
+
+@pytest.mark.parametrize("level,t", [(0, 3), (1, -1), (1, 9), (1, 10)])
+def test_k_binom_element_refuses_depth_outside_basis(level, t):
+    with pytest.raises(ValueError, match="depth"):
+        k_binom_element(AlgebraParams(3, level), 0, t)
+
+
+def test_k_binom_element_is_the_product_of_its_digit_factors():
+    p = AlgebraParams(3, 1)
+    ell = p.ell
+    for s in range(-ell, p.bound):
+        for t in range(p.bound):
+            product = AlgElement.unit(p)
+            for i in range(p.level + 1):
+                sd, td = (s // ell ** i) % ell, (t // ell ** i) % ell
+                laurent = k_binom_laurent(p.field, sd, td)
+                factor = AlgElement(p, {(0, (b % ell) * ell ** i, 0): c
+                                        for b, c in laurent.items()})
+                product = product * factor
+            assert k_binom_element(p, s, t) == product, (s, t)

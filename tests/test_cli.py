@@ -298,3 +298,60 @@ def test_flag_beats_env(monkeypatch):
     assert code == 0
     # at ell = 3, q^3 = 1
     assert out == "1\n"
+
+
+def test_rep_character_text_golden():
+    code, out = run(["rep", "character", "--ell", "3", "--N", "1", "--p", "5"])
+    assert code == 0
+    assert out == "0 1 : 1\n0 2 : 1\n1 1 : 1\n1 2 : 1\n2 1 : 1\n2 2 : 1\n"
+
+
+def test_rep_character_json_golden():
+    code, out = run(["rep", "character", "--ell", "3", "--N", "1", "--p", "5",
+                     "--format", "json"])
+    assert code == 0
+    assert out == (
+        '{"character": [{"multiplicity": 1, "weight": [0, 1]}, '
+        '{"multiplicity": 1, "weight": [0, 2]}, '
+        '{"multiplicity": 1, "weight": [1, 1]}, '
+        '{"multiplicity": 1, "weight": [1, 2]}, '
+        '{"multiplicity": 1, "weight": [2, 1]}, '
+        '{"multiplicity": 1, "weight": [2, 2]}], "dim": 6}\n')
+
+
+def test_rep_character_of_verma_golden():
+    code, out = run(["rep", "character", "--ell", "3", "--N", "1", "--p", "5",
+                     "--module", "verma"])
+    assert code == 0
+    assert out == "".join(f"{a} {b} : 1\n" for a in range(3) for b in range(3))
+
+
+def test_rep_steinberg_dump_matrix_golden():
+    code, out = run(["rep", "steinberg", "--ell", "3", "--N", "1", "--p", "4",
+                     "--dump-matrix"])
+    assert code == 0
+    assert out == ("PASS (4 = 2x2)\n"
+                   "S[0,0] = 1\nS[1,1] = 1\nS[2,2] = 1\nS[3,3] = 1\n")
+
+
+def test_verify_cleft_at_level_zero_exits_2(capsys):
+    code, out = run(["verify", "cleft", "--N", "0"])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == "error: cleft verification needs --N >= 1\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["rep", "verma", "--p", "1", "--dump-matrix"],
+     "--dump-matrix is supported only by 'rep steinberg'"),
+    (["rep", "character", "--p", "1", "--dump-matrix"],
+     "--dump-matrix is supported only by 'rep steinberg'"),
+    (["rep", "steinberg", "--N", "1", "--p", "4", "--module", "verma"],
+     "--module is supported only by 'rep character'"),
+    (["rep", "simple", "--p", "1", "--module", "simple"],
+     "--module is supported only by 'rep character'")])
+def test_rep_flag_outside_its_command_exits_2(capsys, argv, message):
+    code, out = run(argv)
+    assert code == 2
+    assert out == ""
+    assert message in capsys.readouterr().err

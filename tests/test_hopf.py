@@ -9,8 +9,9 @@ from qsl2 import cli, hopf
 from qsl2.algebra import (AlgebraParams, AlgElement, basis_monomials,
                           generator, uq_params)
 from qsl2.hopf import (Tensor2, coinvariants, convolve, gamma, gamma_colinear,
-                       hopf_axiom_check, is_coinvariant, rho, section_inverse,
-                       unit_counit_map, uq_antipode, uq_coproduct)
+                       hopf_axiom_check, is_coinvariant, rho, section,
+                       section_inverse, unit_counit_map, uq_antipode,
+                       uq_coproduct)
 from qsl2.qcomb import q_factorial, q_int
 
 
@@ -228,14 +229,19 @@ def test_gamma_refuses_other_root_of_unity_data():
         == generator(AlgebraParams(5, 1, 2), "E", 1)
 
 
+@pytest.mark.parametrize("ell,level", [(3, 1), (3, 2), (5, 1)])
+def test_section_table_is_gamma(ell, level):
+    p = AlgebraParams(ell, level)
+    u = uq_params(ell)
+    table = section(p)
+    for mono in basis_monomials(u):
+        assert table(mono) == gamma(AlgElement(u, {mono: p.field.one()}), p)
+
+
 def test_cleaving_map_convolution_inverse():
     p = AlgebraParams(3, 1)
     u = uq_params(3)
-    field = p.field
-
-    def gmap(mono):
-        return gamma(AlgElement(u, {mono: field.one()}), p)
-
+    gmap = section(p)
     ginv = section_inverse(p)
     # on group-likes: the inverse is the negative K power at the top level
     for b in range(3):
@@ -303,10 +309,7 @@ def _ref_convolution_inverse(f, params):
 def test_convolution_tables_match_the_element_sums(ell, level, root_exponent):
     p = AlgebraParams(ell, level, root_exponent)
     u = uq_params(ell, root_exponent)
-
-    def gmap(mono):
-        return gamma(AlgElement(u, {mono: p.field.one()}), p)
-
+    gmap = section(p)
     inv = section_inverse(p)
     assert {mono: inv(mono) for mono in basis_monomials(u)} \
         == _ref_convolution_inverse(gmap, p)
