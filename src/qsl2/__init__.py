@@ -20,8 +20,9 @@ from .errors import ResourceCapError
 from .exprs import (ExprSyntaxError, ast_to_string, element_to_json, evaluate,
                     format_cyc, format_element, parse_expr)
 from .hopf import (Tensor2, coinvariants, convolve, gamma, gamma_colinear,
-                   hopf_axiom_check, is_coinvariant, rho, section,
-                   section_inverse, unit_counit_map, uq_antipode, uq_coproduct)
+                   hopf_axiom_check, inverse_failures, is_coinvariant, rho,
+                   section, section_inverse, unit_counit_map, uq_antipode,
+                   uq_coproduct)
 from .hyperalgebra import (HypParams, erratum_report, erratum_text,
                            frobenius_pi, ga_gm_models, hx_normal_order,
                            hy_normal_order, hyp_multiply, kernel_dimensions,

@@ -301,12 +301,18 @@ class AlgElement:
         return NotImplemented
 
     def __pow__(self, k: int) -> "AlgElement":
+        """Square-and-multiply, with no squaring past the top bit of k."""
         if k < 0:
             raise ValueError("negative powers are not defined on elements")
-        result = AlgElement.unit(self.params)
-        for _ in range(k):
-            result = result * self
-        return result
+        result = None
+        base = self
+        while k:
+            if k & 1:
+                result = base if result is None else result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return AlgElement.unit(self.params) if result is None else result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgElement):
@@ -401,11 +407,16 @@ def grading_degree(x: AlgElement) -> int | None:
     return 0 if degree is None else degree
 
 
+def counit_mono(mono: Monomial) -> bool:
+    """The augmentation of F^(m) K^n E^(p): 1 (True) on a K monomial, else 0."""
+    return mono[0] == mono[2] == 0
+
+
 def counit_eps(x: AlgElement) -> CycNum:
     """The augmentation: kills E and F parts, sends every K monomial to 1."""
     result = x.params.field.zero()
-    for (m, _, p), coeff in x.terms.items():
-        if m == 0 and p == 0:
+    for mono, coeff in x.terms.items():
+        if counit_mono(mono):
             result = result + coeff
     return result
 

@@ -4,10 +4,12 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 refusal by --cap (default 1000), which bounds one quantity per command:
 the module dimension ell^(N+1) for rep, the basis monomials checked,
 ell^(3(N+1)), for verify hopf, and the columns of one coinvariant block,
-ell^3, for verify cleft.  The other suites take no --cap, and giving them
-one is a usage error; of them only verify charp grows with the basis: it
-indexes all p^(3(k+1)) monomials and multiplies all p^(3(k+1))*(p^(3k)-1)
-pairs.
+ell^3, for verify cleft.  The other suites take no --cap; of them only
+verify charp grows with the basis: it indexes all p^(3(k+1)) monomials and
+multiplies all p^(3(k+1))*(p^(3k)-1) pairs.
+Each verify-only flag is read by some suites only (`VERIFY_FLAGS`): --cap by
+hopf and cleft, --p and --k by charp, --samples and --seed by charp and
+qbinom.  Giving one of them to any other suite is a usage error.
 Global options may also come from environment variables QSL2_ELL, QSL2_N,
 QSL2_ROOT_EXPONENT, QSL2_FORMAT (precedence: flag, then environment, then
 default).  An invalid value, from a flag or from the environment, is a
@@ -33,7 +35,15 @@ from .hyperalgebra import (HypParams, erratum_report, erratum_text,
 from .qcomb import gen_q_binom
 
 DEFAULT_CAP = 1000
-CAPPED_SUITES = ("hopf", "cleft")
+# Each verify-only flag: its default and the suites that read it.  The parser
+# defaults them to None, so that a flag given to another suite shows.
+VERIFY_FLAGS = {
+    "--cap": (DEFAULT_CAP, ("hopf", "cleft")),
+    "--p": (3, ("charp",)),
+    "--k": (1, ("charp",)),
+    "--samples": (10000, ("charp", "qbinom")),
+    "--seed": (0, ("charp", "qbinom")),
+}
 FORMATS = ("text", "json", "csv")
 
 
@@ -130,13 +140,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="verification suites")
     p_ver.add_argument("suite",
                        choices=("relations", "hopf", "cleft", "charp", "qbinom"))
-    p_ver.add_argument("--p", type=int, default=3, help="prime for charp")
-    p_ver.add_argument("--k", type=_positive_int, default=1,
-                       help="level index for charp")
-    p_ver.add_argument("--samples", type=_positive_int, default=10000,
+    p_ver.add_argument("--p", type=int, help="prime for charp")
+    p_ver.add_argument("--k", type=_positive_int, help="level index for charp")
+    p_ver.add_argument("--samples", type=_positive_int,
                        help="sample count for randomized suites")
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--cap", type=_positive_int, default=None,
+    p_ver.add_argument("--seed", type=int)
+    p_ver.add_argument("--cap", type=_positive_int,
                        help="refuse hopf above this many basis monomials, "
                        "ell^(3(N+1)), and cleft above this many columns in "
                        f"one coinvariant block, ell^3 (default {DEFAULT_CAP}); "
@@ -151,11 +160,10 @@ def _params(args) -> AlgebraParams:
 
 def _check_cap(args, quantity: str, value: int) -> None:
     """Refuse, with exit code 3, a run whose `quantity` exceeds --cap."""
-    cap = DEFAULT_CAP if args.cap is None else args.cap
-    if value > cap:
+    if value > args.cap:
         raise ResourceCapError(
             f"{quantity} {value} at (ell, N) = ({args.ell}, {args.level}) "
-            f"is above --cap {cap}")
+            f"is above --cap {args.cap}")
 
 
 def _emit(args, payload: dict, text_lines: list[str], out) -> None:
@@ -278,8 +286,8 @@ def _verify_hopf(args, out) -> int:
 
 def _verify_cleft(args, out) -> int:
     from .algebra import AlgElement, inclusion_iota
-    from .hopf import (coinvariants, convolve, gamma_colinear, is_coinvariant,
-                       section, section_inverse, unit_counit_map)
+    from .hopf import (coinvariants, gamma_colinear, inverse_failures,
+                       is_coinvariant)
 
     params = _params(args)
     if params.level < 1:
@@ -297,13 +305,7 @@ def _verify_cleft(args, out) -> int:
     span_ok = dims_ok and iota_inside
 
     colinear = gamma_colinear(params)
-    gamma_of, inverse = section(params), section_inverse(params)
-    identity = unit_counit_map(params)
-    left = convolve(gamma_of, inverse, params)
-    right = convolve(inverse, gamma_of, params)
-    conv_ok = all(left[m] == identity(m) and right[m] == identity(m)
-                  for m in left)
-
+    conv_ok = not inverse_failures(params)
     ok = span_ok and colinear and conv_ok
     lines = [
         f"coinvariant dim {report['dimension']} == iota image dim {iota_dim}: "
@@ -428,10 +430,14 @@ def main(argv=None, out=None) -> int:
         print(f"error: --format csv{_source(args.format)} is supported "
               f"only by 'rep character'", file=sys.stderr)
         return 2
-    if args.command == "verify" and args.cap is not None \
-            and args.suite not in CAPPED_SUITES:
-        print(f"error: verify {args.suite} takes no --cap", file=sys.stderr)
-        return 2
+    if args.command == "verify":
+        for flag, (default, suites) in VERIFY_FLAGS.items():
+            if getattr(args, flag[2:]) is None:
+                setattr(args, flag[2:], default)
+            elif args.suite not in suites:
+                print(f"error: verify {args.suite} takes no {flag}",
+                      file=sys.stderr)
+                return 2
     if args.command == "rep":
         for flag, given, only in (("--module", args.module is not None, "character"),
                                   ("--dump-matrix", args.dump_matrix, "steinberg")):

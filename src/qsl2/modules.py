@@ -363,22 +363,14 @@ def steinberg_intertwiner(params: AlgebraParams, p: int) -> SteinbergResult:
             "p": p, "simple_dim": left.dim, "tensor_dim": right.dim})
 
     field = params.field
-    # Column t of the intertwiner: F^(t) applied to v0 (x) v0.
-    v0 = {0: field.one()}
+    # Column t of the intertwiner: F^(t) applied to v0 (x) v0, one digit
+    # factor of the tensor rep at a time.
     smat = Mat.zero(right.dim, left.dim, field)
     columns = []
     for col, t in enumerate(left.basis_labels):
-        vec = dict(v0)
-        rest, i = t, 0
-        while rest and vec:
-            rest, digit = divmod(rest, params.ell)
-            if digit:
-                f_mat = right.mat("F", i)
-                for _ in range(digit):
-                    vec = f_mat.matvec(vec)
-                inv = _inverse_q_factorial(field, digit)
-                vec = {r: v * inv for r, v in vec.items()}
-            i += 1
+        vec = {0: field.one()}
+        for factor in _digit_factors(right, "F", t):
+            vec = factor.matvec(vec)
         columns.append(vec)
         for r, v in vec.items():
             smat.set(r, col, v)

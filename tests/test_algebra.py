@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -87,6 +88,27 @@ def test_nilpotency_by_repeated_multiplication():
 def test_k_order():
     p = AlgebraParams(3, 1)
     assert generator(p, "K", 1) ** 3 == AlgElement.unit(p)
+
+
+def test_power_by_squaring(monkeypatch):
+    p = uq_params(3)
+    x = generator(p, "K", 0) + generator(p, "E", 0) + generator(p, "F", 0)
+    power = AlgElement.unit(p)
+    for k in range(12):
+        assert x ** k == power
+        power = power * x
+    k0 = generator(p, "K", 0)
+    assert k0 ** 1000000001 == k0 ** 2
+    calls = []
+    original = AlgElement.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+    monkeypatch.setattr(AlgElement, "__mul__", counted)
+    assert k0 ** 1000 == k0  # K^3 = 1
+    # 9 squarings and 5 multiplications for the 10 bits of 1000.
+    assert len(calls) <= 2 * math.log2(1000) + 2
 
 
 @pytest.mark.parametrize("ell,level", [(3, 0), (3, 1), (3, 2), (5, 0), (5, 1)])

@@ -84,16 +84,31 @@ def test_verify_relations_has_no_cap():
     assert out.endswith("PASS\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "relations", "--ell", "3", "--N", "6", "--cap", "1"],
-    ["verify", "charp", "--p", "2", "--k", "1", "--cap", "5000"],
-    ["verify", "qbinom", "--ell", "3", "--cap", "1000"]],
-    ids=["relations", "charp", "qbinom"])
-def test_cap_on_an_uncapped_suite_exits_2(capsys, argv):
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "relations", "--ell", "3", "--N", "6", "--cap", "1"], "--cap"),
+    (["verify", "charp", "--p", "2", "--k", "1", "--cap", "5000"], "--cap"),
+    (["verify", "qbinom", "--ell", "3", "--cap", "1000"], "--cap"),
+    (["verify", "relations", "--seed", "5"], "--seed"),
+    (["verify", "hopf", "--samples", "7"], "--samples"),
+    (["verify", "cleft", "--N", "1", "--p", "5"], "--p"),
+    (["verify", "qbinom", "--k", "4"], "--k")],
+    ids=["relations", "charp", "qbinom", "relations-seed", "hopf-samples",
+         "cleft-p", "qbinom-k"])
+def test_cap_on_an_uncapped_suite_exits_2(capsys, argv, flag):
+    # Each verify-only flag is refused by every suite that does not read it.
     code, out = run(argv)
     assert code == 2
     assert out == ""
-    assert capsys.readouterr().err == f"error: verify {argv[1]} takes no --cap\n"
+    assert capsys.readouterr().err == f"error: verify {argv[1]} takes no {flag}\n"
+
+
+def test_verify_accepts_the_flags_each_suite_reads():
+    assert run(["verify", "cleft", "--ell", "3", "--N", "1", "--cap", "27"])[0] == 0
+    assert run(["verify", "hopf", "--ell", "3", "--cap", "27"])[0] == 0
+    assert run(["verify", "charp", "--p", "2", "--k", "1", "--samples", "5",
+                "--seed", "9"])[0] == 0
+    assert run(["verify", "qbinom", "--ell", "3", "--samples", "5",
+                "--seed", "9"])[0] == 0
 
 
 def test_verify_cleft_golden():
@@ -355,3 +370,55 @@ def test_rep_flag_outside_its_command_exits_2(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in capsys.readouterr().err
+
+
+def test_rep_steinberg_fails_on_a_wrong_tensor_rep(monkeypatch):
+    # F[0] of the tensor factor scaled by 2: the columns F^(t)(v0 (x) v0)
+    # pick up 2^(t_0), which E[0] does not intertwine.
+    from qsl2 import modules
+    original = modules.tensor_rep
+
+    def scaled_f(u_rep, d_rep):
+        rep = original(u_rep, d_rep)
+        action = dict(rep.action)
+        action[("F", 0)] = action[("F", 0)].scaled(2)
+        return modules.ModuleRep(rep.params, rep.dim, action, rep.basis_labels)
+
+    monkeypatch.setattr(modules, "tensor_rep", scaled_f)
+    code, out = run(["rep", "steinberg", "--ell", "3", "--N", "1", "--p", "5"])
+    assert code == 1
+    assert out == "FAIL (intertwiner is not equivariant)\n"
+    code, out = run(["rep", "steinberg", "--ell", "3", "--N", "1", "--p", "5",
+                     "--format", "json"])
+    assert code == 1
+    assert json.loads(out) == {"pass": False, "detail": {
+        "p": 5, "generator": ["E", 0], "residue_entries": 4}}
+
+
+def _pi_without_divisibility(params, x, k):
+    """The level-lowering map with the test for indices divisible by p^k
+    left out: floor division shifts every monomial down, X(1) onto 1."""
+    step = params.p ** k
+    return {(a // step, b // step, c // step): v for (a, b, c), v in x.items()}
+
+
+def test_verify_charp_fails_when_pi_is_not_multiplicative(monkeypatch):
+    monkeypatch.setattr(cli, "frobenius_pi", _pi_without_divisibility)
+    code, out = run(["verify", "charp", "--p", "2", "--k", "1"])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1] == ("level-lowering map multiplicative on 4096 pairs "
+                        "(exhaustive): FAIL")
+    assert lines[-1] == "FAIL"
+
+
+def test_verify_charp_fails_when_products_leave_the_kernel(monkeypatch):
+    from qsl2 import hyperalgebra
+    monkeypatch.setattr(hyperalgebra, "frobenius_pi", _pi_without_divisibility)
+    code, out = run(["verify", "charp", "--p", "2", "--k", "1", "--format", "json"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["pi_multiplicative"]
+    assert not report["dimensions"]["products_contained_in_kernel"]
+    assert report["dimensions"]["kernel_matches"]
+    assert not report["pass"]

@@ -212,6 +212,47 @@ def test_hopf_axiom_check_reports_a_broken_relabelling(monkeypatch):
     assert re.search(message, failure)
 
 
+def test_hopf_axiom_check_reports_a_wrong_coproduct(monkeypatch):
+    # Delta(E) with its K (x) E term doubled: E is neither counital on the
+    # left nor coassociative.
+    original = hopf._HopfCache.delta_mono
+    key = ((0, 1, 0), (0, 0, 1))
+
+    def doubled(self, mono):
+        out = original(self, mono)
+        if (self.dparams.level, mono) != (0, (0, 0, 1)):
+            return out
+        terms = dict(out.terms)
+        terms[key] = terms[key] + terms[key]
+        return Tensor2(out.uparams, out.dparams, terms)
+
+    monkeypatch.setattr(hopf._HopfCache, "delta_mono", doubled)
+    checks = hopf_axiom_check(uq_params(3))["checks"]
+    assert "(0, 0, 1)" in checks["coassociativity"]["failures"]
+    assert "(0, 0, 1)" in checks["counit"]["failures"]
+
+
+def test_hopf_axiom_check_reports_a_wrong_top_digit_coaction(monkeypatch):
+    # rho(E[1]) at (3, 1) with its K (x) E[1] term doubled: the coaction is
+    # neither counital nor coassociative at E[1].
+    original = hopf._HopfCache.rho_mono
+    key = ((0, 1, 0), (0, 0, 3))
+
+    def doubled(self, mono):
+        out = original(self, mono)
+        if (self.dparams.level, mono) != (1, (0, 0, 3)):
+            return out
+        terms = dict(out.terms)
+        terms[key] = terms[key] + terms[key]
+        return Tensor2(out.uparams, out.dparams, terms)
+
+    monkeypatch.setattr(hopf._HopfCache, "rho_mono", doubled)
+    checks = hopf_axiom_check(AlgebraParams(3, 1))["checks"]
+    assert "(0, 0, 3)" in checks["coaction_coassociativity"]["failures"]
+    assert checks["coaction_counit"]["failures"] == ["(0, 0, 3)"]
+    assert checks["coassociativity"]["pass"] and checks["counit"]["pass"]
+
+
 def test_gamma_examples_and_colinearity():
     p = AlgebraParams(3, 1)
     u = uq_params(3)
