@@ -6,7 +6,9 @@ the module dimension ell^(N+1) for rep, the basis monomials checked,
 ell^(3(N+1)), for verify hopf, and the columns of one coinvariant block,
 ell^3, for verify cleft.  The other suites take no --cap; of them only
 verify charp grows with the basis: it indexes all p^(3(k+1)) monomials and
-multiplies all p^(3(k+1))*(p^(3k)-1) pairs.
+multiplies all p^(3(k+1))*(p^(3k)-1) pairs.  Its check that pi is
+multiplicative holds one monomial and one pi image per basis index, and
+frees both tables before the kernel check.
 Each verify-only flag is read by some suites only (`VERIFY_FLAGS`): --cap by
 hopf and cleft, --p and --k by charp, --samples and --seed by charp and
 qbinom.  Giving one of them to any other suite is a usage error.
@@ -30,8 +32,8 @@ from .errors import ResourceCapError
 from .exprs import (ExprSyntaxError, element_to_json, evaluate, format_element,
                     parse_expr)
 from .hyperalgebra import (HypParams, erratum_report, erratum_text,
-                           frobenius_pi, hyp_add, hyp_monomial, hyp_multiply,
-                           kernel_dimensions, xy_normal_order)
+                           frobenius_pi, hyp_add, hyp_basis, hyp_monomial,
+                           hyp_multiply, kernel_dimensions, xy_normal_order)
 from .qcomb import gen_q_binom
 
 DEFAULT_CAP = 1000
@@ -321,6 +323,20 @@ def _verify_cleft(args, out) -> int:
     return 0 if ok else 1
 
 
+def _pi_multiplicative(params: HypParams, k: int, pairs) -> bool:
+    """Whether pi(x*y) == pi(x)*pi(y) on each pair (i, j) of basis indices,
+    in `hyp_basis` order.  Each basis monomial and its pi image are built
+    once, in two tables that are freed when this returns."""
+    low = HypParams(params.p, 1)
+    monos = [hyp_monomial(params, *mono) for mono in hyp_basis(params)]
+    images = [frobenius_pi(params, x, k) for x in monos]
+    for i, j in pairs:
+        if frobenius_pi(params, hyp_multiply(params, monos[i], monos[j]), k) \
+                != hyp_multiply(low, images[i], images[j]):
+            return False
+    return True
+
+
 def _verify_charp(args, out) -> int:
     p, k = args.p, args.k
     params = HypParams(p, k + 1)
@@ -330,7 +346,6 @@ def _verify_charp(args, out) -> int:
     bracket_ok = bracket == {(0, 1, 0): 1}
 
     total = params.bound ** 3
-    low = HypParams(p, 1)
     # The pairs are drawn as they are checked, not held in a list.
     if total * total <= 4096:
         count = total * total
@@ -342,20 +357,7 @@ def _verify_charp(args, out) -> int:
                  for _ in range(count))
         mode = f"sampled ({count})"
 
-    def unrank(i):
-        b2 = params.bound
-        return (i // (b2 * b2), (i // b2) % b2, i % b2)
-
-    pi_ok = True
-    for ia, ib in pairs:
-        x = hyp_monomial(params, *unrank(ia))
-        y = hyp_monomial(params, *unrank(ib))
-        lhs = frobenius_pi(params, hyp_multiply(params, x, y), k)
-        rhs = hyp_multiply(low, frobenius_pi(params, x, k),
-                           frobenius_pi(params, y, k))
-        if lhs != rhs:
-            pi_ok = False
-            break
+    pi_ok = _pi_multiplicative(params, k, pairs)
 
     dims = kernel_dimensions(params, k)
     dims_ok = dims["kernel_matches"] and dims["ideal_spans_kernel"] \

@@ -115,11 +115,13 @@ class Tensor2:
 
 class _HopfCache:
     """Per-(ell, root, level) tables of coproducts and antipodes, and the
-    coaction read off the coproduct table."""
+    coaction read off the coproduct table.  The coproduct lives on u, so
+    only the level-0 cache fills `_delta`; a level-N cache reads it there."""
 
     def __init__(self, params: AlgebraParams):
         self.dparams = params
         self.uparams = uq_params(params.ell, params.root_exponent)
+        self.ucache = _cache(self.uparams) if params.level else self
         self.field = params.field
         self.top = params.ell ** params.level  # the width ell^N of digit N
         self._delta: dict[Monomial, Tensor2] = {}
@@ -153,6 +155,8 @@ class _HopfCache:
         return memo
 
     def delta_mono(self, mono: Monomial) -> Tensor2:
+        if self.ucache is not self:
+            return self.ucache.delta_mono(mono)
         memo = self._delta.get(mono)
         if memo is None:
             a, b, c = mono

@@ -253,19 +253,25 @@ class _HypEngine:
         a2, b2, c2 = right
         p = self.p
         bound = self.bound
+        xx = self._xx
+        right_table = self.right_table
         out: HypElement = {}
         for x, z, h_mid in self.left_table(b, c, a2):
-            y_merge = self.xx_merge(a, x)
+            y_merge = xx.get((a, x))
+            if y_merge is None:
+                y_merge = self.xx_merge(a, x)
             if not y_merge:
                 continue
-            x_merge = self.xx_merge(z, c2)
+            x_merge = xx.get((z, c2))
+            if x_merge is None:
+                x_merge = self.xx_merge(z, c2)
             if not x_merge:
                 continue
             assert a + x < bound and z + c2 < bound
             base = y_merge * x_merge % p
             for k, ck in h_mid:
                 scale = base * ck
-                for k2, ck2 in self.right_table(k, z, b2):
+                for k2, ck2 in right_table(k, z, b2):
                     _acc_mod(out, (a + x, k2, z + c2), scale * ck2, p)
         return out
 
@@ -303,8 +309,22 @@ def hyp_scale(x: HypElement, c: int, p: int) -> HypElement:
 
 
 def hyp_multiply(params: HypParams, x: HypElement, y: HypElement) -> HypElement:
-    eng = _engine(params)
+    """The product x*y, summed bilinearly over the monomial products.
+
+    Two single terms c*m and d*n, the common case, skip the sum: the result
+    is `_HypEngine.mono_mul(m, n)`, a fresh dict, scaled by c*d.  An empty
+    factor gives {} without looking up the engine.  The result is always a
+    new dict that the caller may change.
+    """
+    if not x or not y:
+        return {}
     p = params.p
+    eng = _engine(params)
+    if len(x) == 1 and len(y) == 1:
+        ((ma, ca),), ((mb, cb),) = x.items(), y.items()
+        c = ca * cb % p
+        prod = eng.mono_mul(ma, mb)
+        return prod if c == 1 else hyp_scale(prod, c, p)
     out: HypElement = {}
     for ma, ca in x.items():
         for mb, cb in y.items():
@@ -386,15 +406,16 @@ def kernel_dimensions(params: HypParams, k: int) -> dict:
     containment_ok = True
     checked = 0
 
+    smalls = [hyp_monomial(params, a, b, c) for a in range(low_bound)
+              for b in range(low_bound) for c in range(low_bound)
+              if (a, b, c) != (0, 0, 0)]
+
     def rows():
         nonlocal containment_ok, checked
         for big in hyp_basis(params):
-            for small in ((a, b, c) for a in range(low_bound)
-                          for b in range(low_bound) for c in range(low_bound)):
-                if small == (0, 0, 0):
-                    continue
-                prod = hyp_multiply(params, hyp_monomial(params, *big),
-                                    hyp_monomial(params, *small))
+            x = hyp_monomial(params, *big)
+            for y in smalls:
+                prod = hyp_multiply(params, x, y)
                 checked += 1
                 if prod:
                     if frobenius_pi(params, prod, k):

@@ -1,9 +1,10 @@
 import io
 import json
+import random
 
 import pytest
 
-from qsl2 import cli
+from qsl2 import cli, hyperalgebra
 
 
 def run(argv):
@@ -413,7 +414,6 @@ def test_verify_charp_fails_when_pi_is_not_multiplicative(monkeypatch):
 
 
 def test_verify_charp_fails_when_products_leave_the_kernel(monkeypatch):
-    from qsl2 import hyperalgebra
     monkeypatch.setattr(hyperalgebra, "frobenius_pi", _pi_without_divisibility)
     code, out = run(["verify", "charp", "--p", "2", "--k", "1", "--format", "json"])
     assert code == 1
@@ -422,3 +422,26 @@ def test_verify_charp_fails_when_products_leave_the_kernel(monkeypatch):
     assert not report["dimensions"]["products_contained_in_kernel"]
     assert report["dimensions"]["kernel_matches"]
     assert not report["pass"]
+
+
+def test_verify_charp_checks_the_pairs_its_seed_draws(monkeypatch):
+    # Two randrange(729) draws per pair, unranked in hyp_basis order: a seed
+    # names the same level-2 factor pairs whatever the check holds in memory.
+    pairs = []
+
+    def recording(params, x, y):
+        if params.level == 2:
+            pairs.append((x, y))
+        return hyperalgebra.hyp_multiply(params, x, y)
+
+    monkeypatch.setattr(cli, "hyp_multiply", recording)
+    code, _ = run(["verify", "charp", "--p", "3", "--k", "1", "--samples", "5",
+                   "--seed", "7"])
+    assert code == 0
+    rng = random.Random(7)
+
+    def monomial(i):
+        return {(i // 81, (i // 9) % 9, i % 9): 1}
+
+    assert pairs == [(monomial(rng.randrange(729)), monomial(rng.randrange(729)))
+                     for _ in range(5)]

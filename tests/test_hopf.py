@@ -253,6 +253,14 @@ def test_hopf_axiom_check_reports_a_wrong_top_digit_coaction(monkeypatch):
     assert checks["coassociativity"]["pass"] and checks["counit"]["pass"]
 
 
+def test_level_n_caches_read_the_level_0_coproduct_table(monkeypatch):
+    # Delta lives on u: after the (5, 1) suite the level-0 cache holds the
+    # 125 coproducts of the u basis, and the level-1 cache holds no copy.
+    monkeypatch.setattr(hopf, "_CACHES", {})
+    assert hopf_axiom_check(AlgebraParams(5, 1))["pass"]
+    assert sum(len(c._delta) for c in hopf._CACHES.values()) == 125
+
+
 def test_gamma_examples_and_colinearity():
     p = AlgebraParams(3, 1)
     u = uq_params(3)

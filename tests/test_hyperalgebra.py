@@ -6,8 +6,9 @@ import pytest
 from qsl2.hyperalgebra import (HypParams, _engine, additive_group_product,
                                erratum_report, erratum_text, format_hyp,
                                frobenius_pi, ga_gm_models, hx_normal_order,
-                               hy_normal_order, hyp_basis, hyp_monomial,
-                               hyp_multiply, kernel_dimensions,
+                               hy_normal_order, hyp_add, hyp_basis,
+                               hyp_monomial, hyp_multiply, hyp_scale,
+                               kernel_dimensions,
                                multiplicative_group_product,
                                printed_xy_closed_form, xy_normal_order)
 from qsl2.linalg import _acc_mod
@@ -156,6 +157,32 @@ def test_hyp_associativity_sampled():
         lhs = hyp_multiply(params, hyp_multiply(params, a, b), c)
         rhs = hyp_multiply(params, a, hyp_multiply(params, b, c))
         assert lhs == rhs
+
+
+def test_hyp_multiply_single_term_path_matches_the_bilinear_sum():
+    params = HypParams(3, 2)
+    eng = _engine(params)
+    basis = list(hyp_basis(params))
+    rng = random.Random(5)
+    assert hyp_multiply(params, {}, {(0, 0, 1): 1}) == {}
+    assert hyp_multiply(params, {(0, 0, 1): 1}, {}) == {}
+    for _ in range(300):
+        m1, m2, n = rng.sample(basis, 3)
+        c1, c2, d = (rng.choice((1, 2)) for _ in range(3))
+        x1, x2, y = {m1: c1}, {m2: c2}, {n: d}
+        # One term times one term: c*d times the monomial product.
+        single = hyp_multiply(params, x1, y)
+        assert single == hyp_scale(eng.mono_mul(m1, n), c1 * d, 3)
+        # A two-term factor takes the bilinear sum; each of its terms alone
+        # takes the single-term path.
+        assert hyp_multiply(params, {m1: c1, m2: c2}, y) == \
+            hyp_add(single, hyp_multiply(params, x2, y), 3)
+        # The result is the caller's to change: the same call made again
+        # is not affected.
+        expected = dict(single)
+        single.clear()
+        single[(0, 0, 0)] = 1
+        assert hyp_multiply(params, x1, y) == expected
 
 
 def test_frobenius_pi_examples():
