@@ -165,9 +165,8 @@ class _Parser:
             sign = -1
         tok = self.expect("INT")
         exp = sign * int(tok[1])
-        if exp < 0 and not isinstance(base, (QPow, Gen)):
-            raise ExprSyntaxError("negative powers are legal on q and K only", tok[2])
-        if exp < 0 and isinstance(base, Gen) and base.kind in ("E", "F"):
+        if exp < 0 and not (isinstance(base, QPow) or isinstance(base, Gen)
+                            and base.kind in ("K", "Kinv")):
             raise ExprSyntaxError("negative powers are legal on q and K only", tok[2])
         if isinstance(base, QPow):
             return QPow(base.exp * exp)

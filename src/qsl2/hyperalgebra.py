@@ -23,6 +23,7 @@ maps between truncation levels.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -77,13 +78,16 @@ class TruncatedSeries2:
         return TruncatedSeries2(self.p, self.order_t, self.order_u, out)
 
     def pow(self, k: int) -> "TruncatedSeries2":
+        """self^k by binary powering, which squares only below the top bit of
+        k: popcount(k) + bit_length(k) - 1 products for k >= 1."""
         result = TruncatedSeries2.one(self.p, self.order_t, self.order_u)
         base = self
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def get(self, i: int, j: int) -> int:
@@ -288,12 +292,11 @@ def _engine(params: HypParams) -> _HypEngine:
     return eng
 
 
-def hyp_monomial(params: HypParams, a: int, b: int, c: int, coeff: int = 1) -> HypElement:
+def hyp_monomial(params: HypParams, a: int, b: int, c: int) -> HypElement:
     bound = params.bound
     if not (0 <= a < bound and 0 <= b < bound and 0 <= c < bound):
         raise ValueError(f"monomial indices must lie in [0, {bound})")
-    coeff %= params.p
-    return {(a, b, c): coeff} if coeff else {}
+    return {(a, b, c): 1}
 
 
 def hyp_add(x: HypElement, y: HypElement, p: int) -> HypElement:
@@ -372,11 +375,7 @@ def frobenius_pi(params: HypParams, x: HypElement, k: int) -> HypElement:
 
 
 def hyp_basis(params: HypParams):
-    bound = params.bound
-    for a in range(bound):
-        for b in range(bound):
-            for c in range(bound):
-                yield (a, b, c)
+    return itertools.product(range(params.bound), repeat=3)
 
 
 def kernel_dimensions(params: HypParams, k: int) -> dict:
@@ -387,9 +386,10 @@ def kernel_dimensions(params: HypParams, k: int) -> dict:
     p^(3(k+1)) - p^(3k).  The left ideal generated by the augmentation part
     of the level-k subalgebra (which the counit kills: every non-unit
     divided-power monomial has counit zero) is contained in that kernel and
-    is confirmed to span it by exact rank over F_p.  The rank stops once it
-    reaches the kernel dimension, but every product of a level-(k+1) monomial
-    with a non-unit level-k monomial is still checked to map to zero.
+    is confirmed to span it by exact rank over F_p, each product a row keyed
+    by its monomials (tuple order is `hyp_basis` order).  The rank stops at
+    the kernel dimension, but every product of a level-(k+1) monomial with a
+    non-unit level-k monomial is still checked to map to zero.
     """
     if params.level != k + 1:
         raise ValueError("parameters must sit at level k+1")
@@ -401,14 +401,11 @@ def kernel_dimensions(params: HypParams, k: int) -> dict:
     kernel_dim = total - surviving
     expected = p ** (3 * (k + 1)) - p ** (3 * k)
 
-    low_bound = p ** k
-    index = {mono: i for i, mono in enumerate(hyp_basis(params))}
     containment_ok = True
     checked = 0
 
-    smalls = [hyp_monomial(params, a, b, c) for a in range(low_bound)
-              for b in range(low_bound) for c in range(low_bound)
-              if (a, b, c) != (0, 0, 0)]
+    smalls = [hyp_monomial(params, *mono)
+              for mono in itertools.product(range(step), repeat=3) if any(mono)]
 
     def rows():
         nonlocal containment_ok, checked
@@ -420,7 +417,7 @@ def kernel_dimensions(params: HypParams, k: int) -> dict:
                 if prod:
                     if frobenius_pi(params, prod, k):
                         containment_ok = False
-                    yield {index[mono]: v for mono, v in prod.items()}
+                    yield prod
 
     products = rows()
     span_rank = rank_mod_p(products, p, stop_at=kernel_dim)
@@ -545,16 +542,17 @@ def format_hyp(x: HypElement) -> str:
     return " + ".join(parts)
 
 
-def erratum_report(p: int, level: int = 1, cap: int | None = None) -> dict:
+def erratum_report(p: int) -> dict:
     """Compare the printed closed forms against the generating-function and
-    duality oracles, and record every disagreement verbatim."""
-    params = HypParams(p, level)
-    eng = _engine(params)
-    cap = params.bound if cap is None else cap
+    duality oracles at level 1, and record every disagreement verbatim: the
+    XY closed form on all p^2 index pairs, the XY bracket case [X(1), Y(1)],
+    the HX bracket case [H(p^m), X(p^n)] for m, n in {0, 1}, and the
+    multiplicative-group product on indices below min(p, 6)."""
+    eng = _engine(HypParams(p, 1))
 
     xy_mismatches = []
-    for n in range(cap):
-        for m in range(cap):
+    for n in range(p):
+        for m in range(p):
             oracle = eng.xy_table(n, m)
             printed = printed_xy_closed_form(p, n, m)
             if oracle != printed:
@@ -563,38 +561,26 @@ def erratum_report(p: int, level: int = 1, cap: int | None = None) -> dict:
                     "oracle": format_hyp(oracle),
                     "printed": format_hyp(printed)})
 
-    case_mismatches = []
-    for nn in range(level):
-        for mm in range(level):
-            pn, pm = p ** nn, p ** mm
-            oracle = hyp_add(eng.xy_table(pn, pm), {(pm, 0, pn): -1}, p)
-            printed = printed_xy_bracket_case(p, pn, pm)
-            if oracle != printed:
-                case_mismatches.append({
-                    "exp_n": nn, "exp_m": mm,
-                    "oracle_bracket": format_hyp(oracle),
-                    "printed": format_hyp(printed)})
+    oracle = hyp_add(eng.xy_table(1, 1), {(1, 0, 1): -1}, p)
+    printed = printed_xy_bracket_case(p, 1, 1)
+    case_mismatches = [] if oracle == printed else [{
+        "exp_n": 0, "exp_m": 0, "oracle_bracket": format_hyp(oracle),
+        "printed": format_hyp(printed)}]
 
     hx_mismatches = []
-    for mm in range(level + 1):
-        for nn in range(level + 1):
-            if p ** max(mm, nn) >= params.bound * p:
-                continue
-            hm, xn = p ** mm, p ** nn
-            big = HypParams(p, max(level, mm + 1, nn + 1))
-            lhs = hyp_multiply(big, hyp_monomial(big, 0, hm, 0),
-                               hyp_monomial(big, 0, 0, xn))
-            rhs = hyp_multiply(big, hyp_monomial(big, 0, 0, xn),
-                               hyp_monomial(big, 0, hm, 0))
-            comm = hyp_add(lhs, hyp_scale(rhs, -1, p), p)
-            printed = {(0, 0, xn): 2 % p} if mm == nn else {}
-            printed = {k: v for k, v in printed.items() if v}
-            if comm != printed:
-                hx_mismatches.append({
-                    "exp_m": mm, "exp_n": nn,
-                    "oracle": format_hyp(comm), "printed": format_hyp(printed)})
+    for mm, nn in itertools.product((0, 1), repeat=2):
+        hm, xn = p ** mm, p ** nn
+        big = HypParams(p, 1 + max(mm, nn))
+        lhs = hyp_multiply(big, {(0, hm, 0): 1}, {(0, 0, xn): 1})
+        rhs = hyp_multiply(big, {(0, 0, xn): 1}, {(0, hm, 0): 1})
+        comm = hyp_add(lhs, hyp_scale(rhs, -1, p), p)
+        printed = {(0, 0, xn): 2} if mm == nn and p > 2 else {}
+        if comm != printed:
+            hx_mismatches.append({
+                "exp_m": mm, "exp_n": nn,
+                "oracle": format_hyp(comm), "printed": format_hyp(printed)})
 
-    gm_cap = min(cap, 6)
+    gm_cap = min(p, 6)
     gm_as_printed = []       # all terms on index m+n-1, as literally printed
     gm_digit_corrected = []  # terms on m+n-i
     for a in range(gm_cap):
@@ -620,17 +606,17 @@ def erratum_report(p: int, level: int = 1, cap: int | None = None) -> dict:
     return {
         "p": p,
         "xy_closed_form": {
-            "instances": cap * cap,
+            "instances": p * p,
             "mismatches": xy_mismatches,
             "agrees": not xy_mismatches,
         },
         "xy_bracket_case": {
-            "instances": level * level,
+            "instances": 1,
             "mismatches": case_mismatches,
             "agrees": not case_mismatches,
         },
         "hx_bracket_case": {
-            "instances": (level + 1) ** 2,
+            "instances": 4,
             "mismatches": hx_mismatches,
             "agrees": not hx_mismatches,
         },

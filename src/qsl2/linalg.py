@@ -120,18 +120,6 @@ class Mat:
         return (self.nrows, self.ncols) == (other.nrows, other.ncols) \
             and self.entries == other.entries
 
-    def __hash__(self):
-        raise TypeError("Mat is unhashable")
-
-    def diagonal_inverse(self) -> "Mat":
-        """Inverse of a diagonal matrix (used for K-generator matrices)."""
-        if any(r != c for r, c in self.entries):
-            raise ValueError("matrix is not diagonal")
-        if len(self.entries) != self.nrows:
-            raise ZeroDivisionError("diagonal matrix has a zero entry")
-        return Mat(self.nrows, self.ncols, self.field,
-                   {(i, i): self.entries[(i, i)].inverse() for i in range(self.nrows)})
-
 
 def _reduce_row(row: dict, pivot_rows: dict, acc=_acc, *ring) -> dict:
     """Eliminate every pivot column from `row`, smallest first, with the
@@ -148,7 +136,7 @@ def _reduce_row(row: dict, pivot_rows: dict, acc=_acc, *ring) -> dict:
     return row
 
 
-def _echelon(columns: list[dict], field: CycField):
+def _echelon(columns: list[dict]):
     """Echelon form of the matrix whose i-th column is columns[i], as a dict
     from pivot column to the tail of its row: a row with leading entry a at
     column j and entries v_c right of it is stored as {c: -v_c / a}, so that
@@ -172,15 +160,15 @@ def _echelon(columns: list[dict], field: CycField):
     return pivot_rows
 
 
-def rank_of_columns(columns: list[dict], field: CycField) -> int:
-    return len(_echelon(columns, field))
+def rank_of_columns(columns: list[dict]) -> int:
+    return len(_echelon(columns))
 
 
 def nullspace_of_columns(columns: list[dict], field: CycField) -> list[dict[int, CycNum]]:
     """Basis of {x : sum_i x_i * columns[i] = 0}, one vector per free column:
     x_free = 1, the other free coordinates 0, and each pivot coordinate
     x_pivot = sum tail[c] x_c, read from the last pivot back."""
-    pivot_rows = _echelon(columns, field)
+    pivot_rows = _echelon(columns)
     basis: list[dict[int, CycNum]] = []
     for free in range(len(columns)):
         if free in pivot_rows:

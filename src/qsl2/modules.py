@@ -58,8 +58,8 @@ class ModuleRep:
         self.action = types.MappingProxyType(dict(self.action))
 
     def mat(self, kind: str, i: int) -> Mat:
-        if kind == "Kinv":
-            return self.action[("K", i)].diagonal_inverse()
+        """The matrix of the generator E, F or K at level i; K^-1 acts by
+        the monomial matrix of K^(ell-1) (see `rep_relation_check`)."""
         return self.action[(kind, i)]
 
     def generator_ids(self):
@@ -144,8 +144,6 @@ def simple(params: AlgebraParams, p: int) -> ModuleRep:
 
 def uq_simple(ell: int, z: int, root_exponent: int = 1) -> ModuleRep:
     """Simple module of the small quantum group; dimension z + 1."""
-    if not 0 <= z < ell:
-        raise ValueError(f"weight {z} outside [0, {ell})")
     return simple(uq_params(ell, root_exponent), z)
 
 
@@ -347,9 +345,6 @@ def steinberg_intertwiner(params: AlgebraParams, p: int) -> SteinbergResult:
     """
     if params.level < 1:
         raise ValueError("the tensor factorization needs level >= 1")
-    bound = params.bound
-    if not 0 <= p < bound:
-        raise ValueError(f"weight {p} outside [0, {bound})")
     top_power = params.ell ** params.level
     p_top, p_rest = divmod(p, top_power)
 

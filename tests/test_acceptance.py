@@ -232,7 +232,7 @@ def test_criterion_09_char_p_suite():
     assert dims3["products_checked"] == 3 ** 6 * (3 ** 3 - 1)
 
     for p in (2, 3, 5):
-        report = erratum_report(p, 1)
+        report = erratum_report(p)
         assert not report["xy_closed_form"]["agrees"]
         assert not report["gm_product"]["as_printed_agrees"]
         assert report["gm_product"]["digit_corrected_agrees"]

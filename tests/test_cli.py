@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from qsl2 import cli, hyperalgebra
+from qsl2 import cli, hyperalgebra, modules
+from qsl2.linalg import Mat
 
 
 def run(argv):
@@ -394,6 +395,39 @@ def test_rep_steinberg_fails_on_a_wrong_tensor_rep(monkeypatch):
     assert code == 1
     assert json.loads(out) == {"pass": False, "detail": {
         "p": 5, "generator": ["E", 0], "residue_entries": 4}}
+
+
+def _rep_steinberg_with_tensor_rep(monkeypatch, change):
+    """`rep steinberg` at (3, 1), weight 5, in text and in JSON, with
+    `tensor_rep` returning change(rep) for each rep it builds."""
+    original = modules.tensor_rep
+    monkeypatch.setattr(modules, "tensor_rep",
+                        lambda u_rep, d_rep: change(original(u_rep, d_rep)))
+    argv = ["rep", "steinberg", "--ell", "3", "--N", "1", "--p", "5"]
+    code, out = run(argv)
+    json_code, json_out = run(argv + ["--format", "json"])
+    assert code == json_code
+    return code, out, json.loads(json_out)
+
+
+def test_rep_steinberg_fails_on_a_tensor_rep_of_the_wrong_dimension(monkeypatch):
+    code, out, payload = _rep_steinberg_with_tensor_rep(
+        monkeypatch, lambda rep: modules.trivial_rep(rep.params))
+    assert (code, out) == (1, "FAIL (dimension mismatch)\n")
+    assert payload == {"pass": False, "detail": {
+        "p": 5, "simple_dim": 6, "tensor_dim": 1}}
+
+
+def test_rep_steinberg_fails_on_a_tensor_rep_whose_f0_is_zero(monkeypatch):
+    # Every column F^(t)(v0 (x) v0) with t_0 > 0 is then zero.
+    def zero_f0(rep):
+        action = dict(rep.action)
+        action[("F", 0)] = Mat.zero(rep.dim, rep.dim, rep.params.field)
+        return modules.ModuleRep(rep.params, rep.dim, action, rep.basis_labels)
+
+    code, out, payload = _rep_steinberg_with_tensor_rep(monkeypatch, zero_f0)
+    assert (code, out) == (1, "FAIL (intertwiner is not injective)\n")
+    assert payload == {"pass": False, "detail": {"p": 5}}
 
 
 def _pi_without_divisibility(params, x, k):

@@ -1,4 +1,5 @@
 import io
+import json
 import random
 import re
 from fractions import Fraction
@@ -210,6 +211,37 @@ def test_hopf_axiom_check_reports_a_broken_relabelling(monkeypatch):
     assert not report["pass"]
     (failure,) = report["checks"]["coaction_relabelling"]["failures"]
     assert re.search(message, failure)
+
+
+def test_verify_cleft_reports_a_broken_relabelling(monkeypatch):
+    # The coinvariant check fails with the monomial and row; the other
+    # checks still run, and the run ends in FAIL, not in a traceback.
+    message = _rescale_one_coaction_term(monkeypatch)
+    argv = ["verify", "cleft", "--ell", "3", "--N", "1"]
+    out = io.StringIO()
+    assert cli.main(argv, out=out) == 1
+    lines = out.getvalue().splitlines()
+    assert lines[0].startswith("coinvariant dim == iota image dim 27: FAIL (")
+    assert re.search(message, lines[0])
+    assert len(lines) == 4 and lines[-1] == "FAIL"
+    out = io.StringIO()
+    assert cli.main(argv + ["--format", "json"], out=out) == 1
+    payload = json.loads(out.getvalue())
+    assert payload["pass"] is False and payload["coinvariant_dim"] is None
+    assert re.search(message, payload["relabelling_failure"])
+
+
+def test_verify_cleft_fails_on_a_section_that_is_not_colinear(monkeypatch):
+    # u embedded at digit 0, where rho(x) = 1 (x) x: not (id (x) gamma)
+    # Delta(x) for x = E, F or K.
+    def digit_zero(params):
+        one = params.field.one()
+        return lambda mono: AlgElement(params, {mono: one})
+
+    monkeypatch.setattr(hopf, "section", digit_zero)
+    out = io.StringIO()
+    assert cli.main(["verify", "cleft", "--ell", "3", "--N", "1"], out=out) == 1
+    assert "cleaving section colinear: FAIL\n" in out.getvalue()
 
 
 def test_hopf_axiom_check_reports_a_wrong_coproduct(monkeypatch):

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from qsl2.hyperalgebra import (HypParams, _engine, additive_group_product,
+from qsl2.hyperalgebra import (HypParams, TruncatedSeries2, _engine,
+                               additive_group_product,
                                erratum_report, erratum_text, format_hyp,
                                frobenius_pi, ga_gm_models, hx_normal_order,
                                hy_normal_order, hyp_add, hyp_basis,
@@ -12,6 +13,26 @@ from qsl2.hyperalgebra import (HypParams, _engine, additive_group_product,
                                multiplicative_group_product,
                                printed_xy_closed_form, xy_normal_order)
 from qsl2.linalg import _acc_mod
+
+
+def test_series_pow_squares_only_below_the_top_bit(monkeypatch):
+    # (1+t)^k: one product per set bit of k, one square per lower bit.
+    calls = 0
+    original = TruncatedSeries2.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return original(self, other)
+
+    monkeypatch.setattr(TruncatedSeries2, "__mul__", counting)
+    base = TruncatedSeries2(5, 9, 0, {(0, 0): 1, (1, 0): 1})
+    for k in range(1, 10):
+        calls = 0
+        result = base.pow(k)
+        assert calls == bin(k).count("1") + k.bit_length() - 1, k
+        assert result.coeffs == {(i, 0): math.comb(k, i) % 5
+                                 for i in range(k + 1) if math.comb(k, i) % 5}
 
 
 def _ref_mono_mul(eng, left, right):
@@ -253,7 +274,7 @@ def test_gm_oracle_matches_digit_corrected_formula():
 
 
 def test_erratum_report_contents():
-    report = erratum_report(3, 1)
+    report = erratum_report(3)
     assert not report["xy_closed_form"]["agrees"]
     assert not report["xy_bracket_case"]["agrees"]
     assert not report["gm_product"]["as_printed_agrees"]
