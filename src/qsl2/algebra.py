@@ -38,14 +38,12 @@ the level.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CycField, CycNum, _acc
+from .cyclotomic import CycField, CycNum, _acc, square_and_multiply
 from .qcomb import k_binom_laurent, q_binom, q_int
 
 Monomial = tuple[int, int, int]
@@ -266,11 +264,7 @@ class AlgElement:
         return AlgElement(self.params, out)
 
     def __sub__(self, other: "AlgElement") -> "AlgElement":
-        self._check(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            _acc(out, mono, -coeff)
-        return AlgElement(self.params, out)
+        return self + -other
 
     def __neg__(self) -> "AlgElement":
         return AlgElement(self.params, {m: -c for m, c in self.terms.items()})
@@ -301,18 +295,9 @@ class AlgElement:
         return NotImplemented
 
     def __pow__(self, k: int) -> "AlgElement":
-        """Square-and-multiply, with no squaring past the top bit of k."""
         if k < 0:
             raise ValueError("negative powers are not defined on elements")
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return AlgElement.unit(self.params) if result is None else result
+        return square_and_multiply(self, k, AlgElement.unit(self.params))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgElement):
@@ -463,14 +448,12 @@ def relations(E, F, K, Kinv, one, field: CycField):
     The presentation is written here once.  E, F, K and Kinv hold the images
     of the generators, indexed by level, in any ring whose elements multiply
     with `*`, subtract, and scale by a field element with `scaled`; `one` is
-    the ring's unit.  E[i]^ell and K[i]^ell are ell-fold products.
+    the ring's unit.  E[i]^ell, F[i]^ell and K[i]^ell are computed by
+    `square_and_multiply`.
     """
     lam2, lam_neg2 = field.lambda_pow(2), field.lambda_pow(-2)
     inv = (field.lam() - field.lambda_pow(-1)).inverse()
     levels = range(len(E))
-
-    def power(x):
-        return functools.reduce(operator.mul, [x] * field.ell)
 
     for i in levels:
         for j in levels:
@@ -483,9 +466,9 @@ def relations(E, F, K, Kinv, one, field: CycField):
             yield "f_commute", i, j, F[i] * F[j] - F[j] * F[i]
             if i != j:
                 yield "ef_commute", i, j, E[i] * F[j] - F[j] * E[i]
-        yield "k_order", i, i, power(K[i]) - one
-        yield "e_nilpotent", i, i, power(E[i])
-        yield "f_nilpotent", i, i, power(F[i])
+        yield "k_order", i, i, square_and_multiply(K[i], field.ell, one) - one
+        yield "e_nilpotent", i, i, square_and_multiply(E[i], field.ell, one)
+        yield "f_nilpotent", i, i, square_and_multiply(F[i], field.ell, one)
         yield "ef_bracket", i, i, \
             E[i] * F[i] - (F[i] * E[i] + (K[i] - Kinv[i]).scaled(inv))
 

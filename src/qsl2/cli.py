@@ -189,12 +189,8 @@ def _cmd_nf(args, out) -> int:
         results = [result]
     else:
         results = elements
-    if args.format == "json":
-        payload = {"results": [element_to_json(e) for e in results]}
-        print(json.dumps(payload, sort_keys=True), file=out)
-    else:
-        for e in results:
-            print(format_element(e), file=out)
+    _emit(args, {"results": [element_to_json(e) for e in results]},
+          [format_element(e) for e in results], out)
     return 0
 
 
@@ -224,14 +220,12 @@ def _cmd_rep(args, out) -> int:
             print(",".join(hdr), file=out)
             for w, mult in rows:
                 print(",".join(str(x) for x in w + [mult]), file=out)
-        elif args.format == "json":
-            print(json.dumps({"dim": rep.dim,
-                              "character": [{"weight": w, "multiplicity": m}
-                                            for w, m in rows]},
-                             sort_keys=True), file=out)
         else:
-            for w, mult in rows:
-                print(f"{' '.join(str(x) for x in w)} : {mult}", file=out)
+            _emit(args, {"dim": rep.dim,
+                         "character": [{"weight": w, "multiplicity": m}
+                                       for w, m in rows]},
+                  [f"{' '.join(str(x) for x in w)} : {mult}" for w, mult in rows],
+                  out)
         return 0
     # steinberg
     try:
@@ -291,7 +285,7 @@ def _verify_cleft(args, out) -> int:
         return 2
     _check_cap(args, "coinvariant block columns", params.ell ** 3)
     try:  # a coaction that is not block 0's relabelled fails this check only
-        coinvariant_dim, relabel_error = len(coinvariants(params)[0]), None
+        coinvariant_dim, relabel_error = len(coinvariants(params)), None
     except AssertionError as exc:
         coinvariant_dim, relabel_error = None, str(exc)
     lower = AlgebraParams(params.ell, params.level - 1, params.root_exponent)

@@ -246,14 +246,7 @@ class CycNum:
 
     def __pow__(self, k: int) -> "CycNum":
         base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        result = CycNum.from_rational(self.order, 1)
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return square_and_multiply(base, abs(k), CycNum.from_rational(self.order, 1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycNum):
@@ -276,6 +269,23 @@ def _acc(store: dict, key, value: CycNum) -> None:
         store.pop(key, None)
     else:
         store[key] = value
+
+
+def square_and_multiply(base, k: int, one):
+    """base^k for k >= 0, in any ring whose elements multiply with `*`.
+
+    Binary powering from the low bit, with no squaring past the top bit and
+    no product by `one`: bit_length(k) - 1 squarings and popcount(k) - 1
+    further products, and `one` itself for k = 0.  Every power in the
+    package goes through here."""
+    result = None
+    while k:
+        if k & 1:
+            result = base if result is None else result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return one if result is None else result
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraParams, AlgElement, divided_power, generator
 from .cyclotomic import CycNum
+from .qcomb import to_digits
 
 
 class ExprSyntaxError(ValueError):
@@ -329,14 +330,11 @@ def _format_monomial(params: AlgebraParams, mono: tuple[int, int, int]) -> str:
     factors = []
     if m:
         factors.append(f"F({m})")
-    rest, i = n, 0
-    while rest:
-        rest, d = divmod(rest, params.ell)
+    for i, d in enumerate(to_digits(n, params.ell)):
         if d == 1:
             factors.append(f"K[{i}]")
         elif d:
             factors.append(f"K[{i}]^{d}")
-        i += 1
     if p:
         factors.append(f"E({p})")
     return "*".join(factors) if factors else "1"

@@ -333,7 +333,6 @@ def coinvariants(params: AlgebraParams):
     nullspace vectors, shifted by L, are block L's.  The basis lists the
     blocks in basis order of L, each in block 0's nullspace order.  One
     solve of ell^3 columns, whatever the level; the CLI caps that number.
-    Returns (basis, report); the report carries the dimension count.
     """
     if params.level < 1:
         raise ValueError("coinvariants need level >= 1")
@@ -344,7 +343,7 @@ def coinvariants(params: AlgebraParams):
                                   monos[i][2] + p0): v
                                  for i, v in vec.items()})
              for m0, n0, p0 in basis_monomials(lower) for vec in null]
-    return basis, {"dimension": len(basis)}
+    return basis
 
 
 # -- convolution algebra --------------------------------------------------------
@@ -442,6 +441,8 @@ def hopf_axiom_check(params: AlgebraParams) -> dict:
 
     The level-0 checks are the coaction checks at N = 0, where rho is
     Delta, and `antipode` is `inverse_failures` at N = 0.
+    `coaction_multiplicative` runs at every level, so at N = 0 it checks
+    that Delta is an algebra map.
 
     Every check is exhaustive.  The coaction's coassociativity and counit
     run on the ell^3 top-digit monomials, after `coaction_relabelling` has
@@ -494,17 +495,17 @@ def hopf_axiom_check(params: AlgebraParams) -> dict:
             lambda mono: _coassociative(cache, mono))
         run("coaction_counit", top_monos, lambda mono: _left_counital(cache, mono))
 
-        gens = [(kind, i) for i in range(params.level + 1)
-                for kind in ("E", "F", "K", "Kinv")]
+    gens = [(kind, i) for i in range(params.level + 1)
+            for kind in ("E", "F", "K", "Kinv")]
 
-        def rho_multiplicative(pair):
-            (k1, i1), (k2, i2) = pair
-            x = generator(params, k1, i1)
-            y = generator(params, k2, i2)
-            return rho(x * y) == rho(x) * rho(y)
+    def rho_multiplicative(pair):
+        (k1, i1), (k2, i2) = pair
+        x = generator(params, k1, i1)
+        y = generator(params, k2, i2)
+        return rho(x * y) == rho(x) * rho(y)
 
-        run("coaction_multiplicative",
-            [(g1, g2) for g1 in gens for g2 in gens], rho_multiplicative)
+    run("coaction_multiplicative",
+        [(g1, g2) for g1 in gens for g2 in gens], rho_multiplicative)
 
     report["pass"] = all(c["pass"] for c in report["checks"].values())
     return report

@@ -27,6 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .cyclotomic import square_and_multiply
 from .linalg import _acc_mod, rank_mod_p
 from .qcomb import is_prime
 
@@ -78,17 +79,8 @@ class TruncatedSeries2:
         return TruncatedSeries2(self.p, self.order_t, self.order_u, out)
 
     def pow(self, k: int) -> "TruncatedSeries2":
-        """self^k by binary powering, which squares only below the top bit of
-        k: popcount(k) + bit_length(k) - 1 products for k >= 1."""
-        result = TruncatedSeries2.one(self.p, self.order_t, self.order_u)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return square_and_multiply(
+            self, k, TruncatedSeries2.one(self.p, self.order_t, self.order_u))
 
     def get(self, i: int, j: int) -> int:
         return self.coeffs.get((i, j), 0)

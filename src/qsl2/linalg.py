@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import CycField, CycNum, _acc
+from .cyclotomic import CycField, CycNum, _acc, square_and_multiply
 
 
 class Mat:
@@ -84,16 +84,10 @@ class Mat:
     __mul__ = __matmul__
 
     def pow(self, k: int) -> "Mat":
-        """The k-fold product self @ ... @ self (self itself for k = 1, the
-        identity for k = 0)."""
+        """self^k (self itself for k = 1, the identity for k = 0)."""
         if self.nrows != self.ncols or k < 0:
             raise ValueError("powers need a square matrix and k >= 0")
-        if k == 0:
-            return Mat.identity(self.nrows, self.field)
-        result = self
-        for _ in range(k - 1):
-            result = result @ self
-        return result
+        return square_and_multiply(self, k, Mat.identity(self.nrows, self.field))
 
     def matvec(self, vec: dict[int, CycNum]) -> dict[int, CycNum]:
         out: dict[int, CycNum] = {}

@@ -12,9 +12,10 @@ with ell-adic digits z_i, t_i.  Because 2 is invertible mod odd ell, the map
 t -> (z_i - 2 t_i mod ell) is injective, so all weight spaces are lines and
 every submodule is spanned by a subset of the v_t.  The simple quotient is
 therefore computed by reachability: v_t survives iff v_0 is reachable from
-v_t along single-generator moves with nonzero scalars.  That reasoning is
-not assumed silently: the weight-injectivity fact is itself covered by the
-test-suite (characters of universal modules are multiplicity-free).
+v_t along single-generator moves with nonzero scalars, the nonzero entries
+of the universal module's matrices.  That reasoning is not assumed silently:
+the weight-injectivity fact is itself covered by the test-suite (characters
+of universal modules are multiplicity-free).
 
 The module structures built from other modules read the algebra's own
 maps: `tensor_rep` is (u_rep (x) d_rep) o rho, with rho the coaction of
@@ -96,31 +97,23 @@ def verma(params: AlgebraParams, z: int) -> ModuleRep:
     return ModuleRep(params, dim, action, tuple(range(dim)))
 
 
-def _support_of_simple(params: AlgebraParams, z: int) -> list[int]:
-    """Labels t from which v_0 is reachable along nonzero generator moves."""
-    bound = params.bound
-    zdig = to_digits(z, params.ell, params.level + 1)
-    field = params.field
+def _support_of_simple(big: ModuleRep) -> list[int]:
+    """Labels t from which v_0 is reachable along nonzero generator moves,
+    read off the matrices of the universal module `big`: `Mat.set` drops
+    zeros, so an entry (u, t) is present iff the move t -> u has a nonzero
+    scalar.  K is diagonal and adds no moves."""
     # Predecessor search from 0: t reaches u iff u is reachable from t.
+    moves_into: dict[int, list[int]] = {}
+    for mat in big.action.values():
+        for u, t in mat.entries:
+            moves_into.setdefault(u, []).append(t)
     reachable = {0}
     frontier = [0]
     while frontier:
-        u = frontier.pop()
-        for i in range(params.level + 1):
-            step = params.ell ** i
-            ui = (u // step) % params.ell
-            # t = u + step reaches u by E[i] when the E-scalar at t is nonzero
-            if ui < params.ell - 1:
-                t = u + step
-                if t not in reachable and not q_int(field, zdig[i] - ui).is_zero():
-                    reachable.add(t)
-                    frontier.append(t)
-            # t = u - step reaches u by F[i] when the F-scalar at t is nonzero
-            if ui > 0:
-                t = u - step
-                if t not in reachable and not q_int(field, ui).is_zero():
-                    reachable.add(t)
-                    frontier.append(t)
+        for t in moves_into.get(frontier.pop(), ()):
+            if t not in reachable:
+                reachable.add(t)
+                frontier.append(t)
     return sorted(reachable)
 
 
@@ -128,7 +121,7 @@ def simple(params: AlgebraParams, p: int) -> ModuleRep:
     """The simple highest-weight module of weight p: the universal module
     modulo the labels that cannot reach v_0."""
     big = verma(params, p)
-    support = _support_of_simple(params, p)
+    support = _support_of_simple(big)
     index = {t: k for k, t in enumerate(support)}
     dim = len(support)
     action: dict[GeneratorId, Mat] = {}

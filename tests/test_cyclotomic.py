@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from qsl2.algebra import AlgElement, generator, uq_params
 from qsl2.cyclotomic import (CycField, CycNum, FieldMismatchError,
-                             cyclotomic_polynomial)
+                             cyclotomic_polynomial, square_and_multiply)
+from qsl2.hyperalgebra import TruncatedSeries2
+from qsl2.linalg import Mat
 
 
 def poly_mul(a, b):
@@ -213,3 +216,44 @@ def test_pow_negative():
     field = CycField(7)
     x = field.rational(2) + field.lam()
     assert (x ** -2) * (x ** 2) == field.one()
+
+
+def test_square_and_multiply_counts_its_products_in_every_ring(monkeypatch):
+    # bit_length(k) - 1 squarings and popcount(k) - 1 further products, and
+    # `one` itself at k = 0, on each ring that raises powers through it.
+    field = CycField(5)
+    params = uq_params(3)
+    series = TruncatedSeries2(7, 9, 0, {(0, 0): 1, (1, 0): 3})
+    mat = Mat(2, 2, field, {(0, 0): field.lam(), (0, 1): field.one(),
+                            (1, 1): field.rational(2)})
+    # (class, base, one, its power routine, the value compared)
+    rings = [
+        (CycNum, field.lam() + field.one(), field.one(),
+         CycNum.__pow__, lambda x: x),
+        (AlgElement, generator(params, "F", 0) + generator(params, "K", 0),
+         AlgElement.unit(params), AlgElement.__pow__, lambda x: x),
+        (TruncatedSeries2, series, TruncatedSeries2.one(7, 9, 0),
+         TruncatedSeries2.pow, lambda x: x.coeffs),
+        (Mat, mat, Mat.identity(2, field), Mat.pow, lambda x: x),
+    ]
+    for cls, base, one, power, value in rings:
+        repeated = [one]
+        for _ in range(9):
+            repeated.append(repeated[-1] * base)
+        assert square_and_multiply(base, 0, one) is one
+        calls = 0
+        original = cls.__mul__
+
+        def counting(self, other):
+            nonlocal calls
+            calls += 1
+            return original(self, other)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cls, "__mul__", counting)
+            for k in range(10):
+                calls = 0
+                result = power(base, k)
+                products = k.bit_length() + bin(k).count("1") - 2 if k else 0
+                assert calls == products, (cls.__name__, k)
+                assert value(result) == value(repeated[k]), (cls.__name__, k)

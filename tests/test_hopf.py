@@ -98,8 +98,8 @@ def test_coaction_axiom_report():
 
 def test_coinvariants_dimension_and_span():
     p = AlgebraParams(3, 1)
-    basis, report = coinvariants(p)
-    assert report["dimension"] == 27
+    basis = coinvariants(p)
+    assert len(basis) == 27
     from qsl2.algebra import inclusion_iota
     lower = uq_params(3)
     for mono in basis_monomials(lower):
@@ -110,8 +110,8 @@ def test_coinvariants_dimension_and_span():
 
 def test_coinvariants_split_into_low_digit_blocks():
     p = AlgebraParams(3, 2)
-    basis, report = coinvariants(p)
-    assert report["dimension"] == len(basis) == 729
+    basis = coinvariants(p)
+    assert len(basis) == 729
     for vec in basis:
         (mono,) = vec.terms
         assert all(x < 9 for x in mono)  # top digit zero
@@ -176,8 +176,7 @@ def _ref_coinvariants(params):
 @pytest.mark.parametrize("ell,level", [(3, 1), (3, 2), (5, 1)])
 def test_coinvariants_match_the_per_block_solve(ell, level):
     params = AlgebraParams(ell, level)
-    basis, _ = coinvariants(params)
-    assert basis == _ref_coinvariants(params)
+    assert coinvariants(params) == _ref_coinvariants(params)
 
 
 def _rescale_one_coaction_term(monkeypatch):
@@ -413,6 +412,21 @@ def test_hopf_axiom_check_reports_a_wrong_antipode(monkeypatch):
     assert not report["pass"]
     assert report["checks"]["antipode"]["failures"]
     assert report["checks"]["coassociativity"]["pass"]
+
+
+def test_verify_hopf_checks_that_the_coproduct_is_multiplicative_at_level_0(monkeypatch):
+    # 2 rho is not an algebra map.  At N = 0 rho is Delta, and of the level-0
+    # checks only the multiplicativity check reads rho itself.
+    original = hopf.rho
+    monkeypatch.setattr(hopf, "rho", lambda x: original(x).scaled(2))
+    out = io.StringIO()
+    assert cli.main(["verify", "hopf", "--ell", "3", "--N", "0"], out=out) == 1
+    assert out.getvalue() == (
+        "coassociativity (exhaustive): 27 instances, 0 failures\n"
+        "counit (exhaustive): 27 instances, 0 failures\n"
+        "antipode (exhaustive): 27 instances, 0 failures\n"
+        "coaction_multiplicative (exhaustive): 16 instances, 16 failures\n"
+        "FAIL\n")
 
 
 def test_verify_cleft_fails_on_a_wrong_antipode(monkeypatch):

@@ -20,6 +20,24 @@ def all_zero(report):
     return all(e["zero"] for e in report)
 
 
+def test_simple_support_is_read_off_the_verma_matrices(monkeypatch):
+    # Weight 8 = (2, 2) at (3, 1) with E[0] acting by zero: only v_3 and v_6
+    # reach v_0, along E[1].  The support follows the matrices, not the
+    # Verma formulas, which would keep all nine labels.
+    original = modules.verma
+
+    def e0_zero(params, z):
+        rep = original(params, z)
+        action = dict(rep.action)
+        action[("E", 0)] = Mat.zero(rep.dim, rep.dim, params.field)
+        return modules.ModuleRep(params, rep.dim, action, rep.basis_labels)
+
+    monkeypatch.setattr(modules, "verma", e0_zero)
+    rep = simple(AlgebraParams(3, 1), 8)
+    assert rep.dim == 3
+    assert rep.basis_labels == (0, 3, 6)
+
+
 def test_verma_actions_examples():
     p = AlgebraParams(3, 1)
     rep = verma(p, 5)  # digits z = (2, 1)
