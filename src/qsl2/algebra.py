@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import CycField, CycNum, _acc, square_and_multiply
-from .qcomb import k_binom_laurent, q_binom, q_int
+from .qcomb import _inverse_q_den, inverse_q_int, k_binom_laurent, q_binom
 
 Monomial = tuple[int, int, int]
 GeneratorId = tuple[str, int]
@@ -116,7 +116,7 @@ class _Engine:
         says why), so the level subalgebras are pairwise commuting copies
         of the small quantum group.
         """
-        inv = (self.field.lam() - self.field.lambda_pow(-1)).inverse()
+        inv = _inverse_q_den(self.field, 1)
         return {(0, 1, 0): inv, (0, self.ell - 1, 0): -inv}
 
     def ef_single(self, a: int, b: int) -> dict[Monomial, CycNum]:
@@ -131,11 +131,10 @@ class _Engine:
             # E F^(b) = (1/[b]) (F * E F^(b-1) + tail * F^(b-1))
             steps = [((1, 0, 0), m, c) for m, c in self.ef_single(1, b - 1).items()]
             steps += [(m, (b - 1, 0, 0), c) for m, c in self.bracket_tail().items()]
-            inv = q_int(self.field, b).inverse()
         else:
             # E^(a) F^(b) = (1/[a]) E * (E^(a-1) F^(b))
             steps = [((0, 0, 1), m, c) for m, c in self.ef_single(a - 1, b).items()]
-            inv = q_int(self.field, a).inverse()
+        inv = inverse_q_int(self.field, b if a == 1 else a)
         out = {}
         for left, right, coeff in steps:
             for mono, c in self.mono_mul(left, right).items():
@@ -452,7 +451,7 @@ def relations(E, F, K, Kinv, one, field: CycField):
     `square_and_multiply`.
     """
     lam2, lam_neg2 = field.lambda_pow(2), field.lambda_pow(-2)
-    inv = (field.lam() - field.lambda_pow(-1)).inverse()
+    inv = _inverse_q_den(field, 1)
     levels = range(len(E))
 
     for i in levels:

@@ -45,7 +45,7 @@ from .algebra import (AlgebraParams, AlgElement, Monomial, basis_monomials,
                       counit_mono, engine_for, generator, uq_params)
 from .cyclotomic import CycNum, _acc
 from .linalg import nullspace_of_columns
-from .qcomb import q_factorial, q_int
+from .qcomb import inverse_q_factorial, inverse_q_int
 
 
 class Tensor2:
@@ -150,7 +150,7 @@ class _HopfCache:
                 memo = Tensor2.unit(self.uparams, self.uparams)
             else:
                 memo = (self._delta_pow(kind, c - 1) * self._delta_gen(kind)) \
-                    .scaled(q_int(self.field, c).inverse())
+                    .scaled(inverse_q_int(self.field, c))
             self._delta_pows[key] = memo
         return memo
 
@@ -202,8 +202,8 @@ class _HopfCache:
             # Antihomomorphism: S(F^(a) K^b E^(c)) = S(E)^(c) K^-b S(F)^(a).
             result = (s_e ** c) * AlgElement.monomial(up, 0, (-b) % up.ell, 0) \
                 * (s_f ** a)
-            scale = (q_factorial(self.field, a) * q_factorial(self.field, c)).inverse()
-            memo = result.scaled(scale)
+            memo = result.scaled(inverse_q_factorial(self.field, a)
+                                 * inverse_q_factorial(self.field, c))
             self._antipode[mono] = memo
         return memo
 

@@ -1,8 +1,8 @@
 """Truncated distribution algebras of SL2 over a prime field.
 
-The algebra at level n has basis Y^(a) H^(b) X^(c), 0 <= a, b, c < p^n, with
-coefficients in F_p.  Structure constants are *derived*, not transcribed:
-the defining data are the generating-function relations
+The algebra at level n has basis Y^(a) H^(b) X^(c), keyed (a, b, c), with
+0 <= a, b, c < p^n and coefficients in F_p.  Structure constants are *derived*,
+not transcribed: the defining data are the generating-function relations
 
     X(t) X(u) = X(t + u)                    Y(t) Y(u) = Y(t + u)
     H(t) H(u) = H(t + u + tu)
@@ -13,7 +13,8 @@ where X(t) = sum_n t^n X^(n) and so on.  Every structure constant is a
 coefficient of a truncated bivariate power series obtained by substituting
 the argument series above; closed-form product formulas are treated as
 claims and compared against these oracles (see erratum_report, which
-records where the printed forms disagree).
+records where the printed forms disagree).  Each normal-order helper,
+X^(n) Y^(m), X^(c) H^(b) or H^(b) Y^(a), is `hyp_multiply` of two monomials.
 
 Also here: the warm-up distribution algebras of the additive and
 multiplicative groups, computed from first principles by duality against
@@ -330,26 +331,21 @@ def hyp_multiply(params: HypParams, x: HypElement, y: HypElement) -> HypElement:
 
 
 def xy_normal_order(params: HypParams, n: int, m: int) -> HypElement:
-    """Normal-ordered X^(n) Y^(m), straight from the generating-function oracle."""
-    if not (0 <= n < params.bound and 0 <= m < params.bound):
-        raise ValueError("indices outside the truncation bound")
-    return dict(_engine(params).xy_table(n, m))
+    """X^(n) Y^(m) in the basis: the product of the two monomials."""
+    return hyp_multiply(params, hyp_monomial(params, 0, 0, n),
+                        hyp_monomial(params, m, 0, 0))
 
 
 def hx_normal_order(params: HypParams, b: int, c: int) -> HypElement:
-    """Normal-ordered H^(b) X^(c) = sum_j [(1+t)^(2c)]_(b-j) X^(c) H^(j)."""
-    if not (0 <= b < params.bound and 0 <= c < params.bound):
-        raise ValueError("indices outside the truncation bound")
-    eng = _engine(params)
-    return {(0, j, c): v for j, v in eng.move_table(b, 2 * c).items()}
+    """X^(c) H^(b) = sum_j [(1+t)^(-2c)]_(b-j) H^(j) X^(c), the product."""
+    return hyp_multiply(params, hyp_monomial(params, 0, 0, c),
+                        hyp_monomial(params, 0, b, 0))
 
 
 def hy_normal_order(params: HypParams, b: int, a: int) -> HypElement:
-    """Normal-ordered H^(b) Y^(a) = sum_j [(1+t)^(-2a)]_(b-j) Y^(a) H^(j)."""
-    if not (0 <= b < params.bound and 0 <= a < params.bound):
-        raise ValueError("indices outside the truncation bound")
-    eng = _engine(params)
-    return {(a, j, 0): v for j, v in eng.move_table(b, -2 * a).items()}
+    """H^(b) Y^(a) = sum_j [(1+t)^(-2a)]_(b-j) Y^(a) H^(j), the product."""
+    return hyp_multiply(params, hyp_monomial(params, 0, b, 0),
+                        hyp_monomial(params, a, 0, 0))
 
 
 def frobenius_pi(params: HypParams, x: HypElement, k: int) -> HypElement:

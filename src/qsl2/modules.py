@@ -32,10 +32,10 @@ from dataclasses import dataclass, field as dc_field
 
 from .algebra import (AlgebraParams, AlgElement, GeneratorId, generator,
                       projection_pi, relations, uq_params)
-from .cyclotomic import CycField, CycNum
+from .cyclotomic import CycNum
 from .hopf import rho
 from .linalg import Mat, nullspace_of_columns
-from .qcomb import q_factorial, q_int, to_digits
+from .qcomb import inverse_q_factorial, q_int, to_digits
 
 
 @dataclass
@@ -141,19 +141,9 @@ def uq_simple(ell: int, z: int, root_exponent: int = 1) -> ModuleRep:
 
 
 def trivial_rep(params: AlgebraParams) -> ModuleRep:
-    """The one-dimensional module through the augmentation."""
-    field = params.field
-    action: dict[GeneratorId, Mat] = {}
-    for i in range(params.level + 1):
-        action[("E", i)] = Mat.zero(1, 1, field)
-        action[("F", i)] = Mat.zero(1, 1, field)
-        action[("K", i)] = Mat.identity(1, field)
-    return ModuleRep(params, 1, action, (0,))
-
-
-@functools.lru_cache(maxsize=None)
-def _inverse_q_factorial(field: CycField, d: int) -> CycNum:
-    return q_factorial(field, d).inverse()
+    """The one-dimensional module through the augmentation: the simple
+    module of weight 0, where E and F act by 0 and K by 1."""
+    return simple(params, 0)
 
 
 def _digit_factors(rep: ModuleRep, kind: str, m: int) -> list[Mat]:
@@ -171,26 +161,10 @@ def _digit_factors(rep: ModuleRep, kind: str, m: int) -> list[Mat]:
         if factor is None:
             factor = rep.mat(kind, i).pow(d)
             if kind != "K" and d > 1:  # [1]! = 1
-                factor = factor.scaled(_inverse_q_factorial(rep.params.field, d))
+                factor = factor.scaled(inverse_q_factorial(rep.params.field, d))
             memo[(kind, i, d)] = factor
         factors.append(factor)
     return factors
-
-
-def _product(rep: ModuleRep, factors: list[Mat]) -> Mat:
-    if not factors:
-        return Mat.identity(rep.dim, rep.params.field)
-    return functools.reduce(operator.matmul, factors)
-
-
-def divided_power_matrix(rep: ModuleRep, kind: str, m: int) -> Mat:
-    """Matrix of E^(m) or F^(m) (per-level powers divided by q-factorials).
-    Like `monomial_matrix`, it may return a shared matrix: read it only."""
-    if kind not in ("E", "F"):
-        raise ValueError(f"divided powers exist for E and F only, got {kind!r}")
-    if m >= rep.params.bound:
-        raise ValueError(f"divided-power index {m} outside [0, {rep.params.bound})")
-    return _product(rep, _digit_factors(rep, kind, m))
 
 
 def monomial_matrix(rep: ModuleRep, mono: tuple[int, int, int]) -> Mat:
@@ -200,8 +174,11 @@ def monomial_matrix(rep: ModuleRep, mono: tuple[int, int, int]) -> Mat:
     m, n, p = mono
     if max(mono) >= rep.params.bound:
         raise ValueError(f"monomial indices must lie in [0, {rep.params.bound})")
-    return _product(rep, _digit_factors(rep, "F", m) + _digit_factors(rep, "K", n)
-                    + _digit_factors(rep, "E", p))
+    factors = (_digit_factors(rep, "F", m) + _digit_factors(rep, "K", n)
+               + _digit_factors(rep, "E", p))
+    if not factors:
+        return Mat.identity(rep.dim, rep.params.field)
+    return functools.reduce(operator.matmul, factors)
 
 
 def element_matrix(rep: ModuleRep, x: AlgElement) -> Mat:

@@ -61,6 +61,18 @@ def q_factorial(field: CycField, m: int) -> CycNum:
 
 
 @functools.lru_cache(maxsize=None)
+def inverse_q_int(field: CycField, m: int) -> CycNum:
+    """1/[m] for m nonzero mod ell, inverted once per (field, m)."""
+    return q_int(field, m).inverse()
+
+
+@functools.lru_cache(maxsize=None)
+def inverse_q_factorial(field: CycField, m: int) -> CycNum:
+    """1/[m]! for 0 <= m < ell, inverted once per (field, m)."""
+    return q_factorial(field, m).inverse()
+
+
+@functools.lru_cache(maxsize=None)
 def q_binom(field: CycField, m: int, n: int) -> CycNum:
     """Gaussian binomial by the product formula; m may be any integer, 0 <= n < ell."""
     if not 0 <= n < field.ell:

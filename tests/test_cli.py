@@ -479,3 +479,51 @@ def test_verify_charp_checks_the_pairs_its_seed_draws(monkeypatch):
 
     assert pairs == [(monomial(rng.randrange(729)), monomial(rng.randrange(729)))
                      for _ in range(5)]
+
+
+def _verify_charp_p2_fails_on(line):
+    code, out = run(["verify", "charp", "--p", "2", "--k", "1"])
+    assert code == 1
+    lines = out.splitlines()
+    assert line in lines
+    assert lines[-1] == "FAIL"
+
+
+def test_verify_charp_fails_on_a_wrong_bracket(monkeypatch):
+    # X(1) Y(1) without its H(1) term: the bracket [X(1), Y(1)] is 0.
+    monkeypatch.setattr(cli, "xy_normal_order", lambda params, n, m: {(1, 0, 1): 1})
+    _verify_charp_p2_fails_on("bracket [X(1), Y(1)] == H(1): FAIL")
+
+
+def test_verify_charp_fails_on_a_wrong_kernel_dimension(monkeypatch):
+    def mismatched(params, k):
+        return {**hyperalgebra.kernel_dimensions(params, k), "kernel_matches": False}
+
+    monkeypatch.setattr(cli, "kernel_dimensions", mismatched)
+    _verify_charp_p2_fails_on("kernel dim 56 == p^(3(k+1)) - p^(3k) = 56: FAIL")
+
+
+def test_verify_charp_fails_when_the_ideal_misses_the_kernel(monkeypatch):
+    rank_mod_p = hyperalgebra.rank_mod_p
+    monkeypatch.setattr(hyperalgebra, "rank_mod_p",
+                        lambda rows, p, stop_at: rank_mod_p(rows, p, stop_at=stop_at) - 1)
+    _verify_charp_p2_fails_on("augmentation ideal spans kernel (rank 55): FAIL")
+
+
+@pytest.mark.parametrize("exponent, symmetry_failures, product_failures", [
+    # lam^n: [m+n, m] != [m+n, n] unless m = n mod 3, and the products differ
+    # unless m = pp mod 3.
+    (lambda m, n: n, 54, 486),
+    # lam^m is symmetric, but the products still differ unless m = pp mod 3.
+    (lambda m, n: m, 0, 486),
+], ids=["both", "product-only"])
+def test_verify_qbinom_fails_on_a_wrong_binomial(monkeypatch, exponent,
+                                                 symmetry_failures, product_failures):
+    monkeypatch.setattr(cli, "gen_q_binom",
+                        lambda field, m, n: field.lambda_pow(exponent(m, n)))
+    code, out = run(["verify", "qbinom", "--ell", "3"])
+    assert code == 1
+    assert out == (
+        f"symmetry identity (exhaustive): 81 instances, {symmetry_failures} failures\n"
+        f"product identity (exhaustive): 729 instances, {product_failures} failures\n"
+        "FAIL\n")

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from qsl2 import cli, hopf
+from qsl2 import algebra, cli, hopf, qcomb
 from qsl2.algebra import (AlgebraParams, AlgElement, basis_monomials,
                           generator, uq_params)
+from qsl2.cyclotomic import CycNum
 from qsl2.hopf import (Tensor2, coinvariants, convolve, gamma, gamma_colinear,
                        hopf_axiom_check, is_coinvariant, rho, section,
                        section_inverse, unit_counit_map, uq_antipode,
@@ -241,6 +242,17 @@ def test_verify_cleft_fails_on_a_section_that_is_not_colinear(monkeypatch):
     out = io.StringIO()
     assert cli.main(["verify", "cleft", "--ell", "3", "--N", "1"], out=out) == 1
     assert "cleaving section colinear: FAIL\n" in out.getvalue()
+
+
+def test_verify_cleft_fails_when_the_iota_image_is_not_coinvariant(monkeypatch):
+    # The coaction relabels block 0, so the coinvariant dim is 27; only the
+    # containment of the iota image fails.
+    monkeypatch.setattr(hopf, "is_coinvariant", lambda x: False)
+    out = io.StringIO()
+    assert cli.main(["verify", "cleft", "--ell", "3", "--N", "1"], out=out) == 1
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "coinvariant dim 27 == iota image dim 27: FAIL"
+    assert lines[-1] == "FAIL"
 
 
 def test_hopf_axiom_check_reports_a_wrong_coproduct(monkeypatch):
@@ -572,3 +584,26 @@ def test_rho_equals_product_of_generator_coactions_sampled(ell, level):
     for _ in range(200):
         mono = tuple(rng.randrange(p.bound) for _ in range(3))
         assert rho(_monomial(p, mono)) == oracle(mono), mono
+
+
+def test_uq_antipode_inverts_each_q_number_once(monkeypatch):
+    # S(F^(a) K^b E^(c)) is scaled by 1/([a]! [c]!), and the products behind
+    # it divide by [m] and lam - lam^-1: each inverse is taken once, in qcomb,
+    # not once per monomial.  From cold caches, at most 15 inverses at ell = 5.
+    monkeypatch.setattr(hopf, "_CACHES", {})
+    monkeypatch.setattr(algebra, "_ENGINES", {})
+    for cached in (qcomb._inverse_q_den, qcomb.q_int, qcomb.q_factorial,
+                   qcomb.q_binom, qcomb.gen_q_binom, qcomb.inverse_q_int,
+                   qcomb.inverse_q_factorial):
+        cached.cache_clear()
+    inverse, inverses = CycNum.inverse, []
+
+    def counted_inverse(x):
+        inverses.append(x)
+        return inverse(x)
+
+    monkeypatch.setattr(CycNum, "inverse", counted_inverse)
+    p = uq_params(5)
+    for mono in basis_monomials(p):
+        uq_antipode(_monomial(p, mono))
+    assert len(inverses) <= 15

@@ -118,8 +118,11 @@ def test_xy_degenerate_sides():
 
 def test_hx_examples():
     params = HypParams(5, 1)
-    # H X = X H + 2 X, from coefficient extraction
-    assert hx_normal_order(params, 1, 1) == {(0, 1, 1): 1, (0, 0, 1): 2}
+    # X H = H X - 2 X = H X + 3 X, the product read by hyp_multiply; H X is
+    # itself the basis monomial (0, 1, 1)
+    x_h = hyp_multiply(params, {(0, 0, 1): 1}, {(0, 1, 0): 1})
+    assert x_h == {(0, 1, 1): 1, (0, 0, 1): 3}
+    assert hx_normal_order(params, 1, 1) == x_h
     assert hx_normal_order(params, 2, 0) == {(0, 2, 0): 1}
     # Y version picks up the negative weight
     assert hy_normal_order(params, 1, 1) == {(1, 1, 0): 1, (1, 0, 0): 5 - 2}
@@ -235,6 +238,24 @@ def test_kernel_dimensions_p2():
     assert report["products_contained_in_kernel"]
     # the rank stops early; containment is still decided on all big * small
     assert report["products_checked"] == 2 ** 6 * (2 ** 3 - 1)
+
+
+def test_normal_orders_equal_the_products_they_name():
+    # Each helper is the product of two basis monomials, and that product is
+    # the series expansion its docstring states.
+    for p, level in ((3, 2), (2, 3)):
+        params = HypParams(p, level)
+        eng = _engine(params)
+        for i in range(params.bound):
+            for j in range(params.bound):
+                xy = hyp_multiply(params, {(0, 0, i): 1}, {(j, 0, 0): 1})
+                assert xy_normal_order(params, i, j) == xy == eng.xy_table(i, j)
+                hy = hyp_multiply(params, {(0, i, 0): 1}, {(j, 0, 0): 1})
+                assert hy_normal_order(params, i, j) == hy == {
+                    (j, k, 0): v for k, v in eng.move_table(i, -2 * j).items()}
+                hx = hyp_multiply(params, {(0, 0, j): 1}, {(0, i, 0): 1})
+                assert hx_normal_order(params, i, j) == hx == {
+                    (0, k, j): v for k, v in eng.move_table(i, -2 * j).items()}
 
 
 def test_normal_orders_refuse_indices_outside_bound():

@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from qsl2 import modules
+from qsl2 import modules, qcomb
 from qsl2.algebra import (AlgebraParams, AlgElement, basis_monomials,
                           generator, uq_params)
 from qsl2.cyclotomic import CycNum
 from qsl2.linalg import Mat
-from qsl2.modules import (SteinbergError, character,
-                          divided_power_matrix, element_matrix,
+from qsl2.modules import (SteinbergError, character, element_matrix,
                           extend_by_trivial_top, monomial_matrix,
                           primitive_vectors, pullback_via_pi,
                           rep_relation_check, simple, steinberg_intertwiner,
@@ -67,8 +66,8 @@ def test_verma_matches_uq_action_formulas():
         for z in range(ell):
             rep = verma(p, z)
             for m in range(ell):
-                fmat = divided_power_matrix(rep, "F", m)
-                emat = divided_power_matrix(rep, "E", m)
+                fmat = monomial_matrix(rep, (m, 0, 0))
+                emat = monomial_matrix(rep, (0, 0, m))
                 for n in range(ell):
                     for r in range(ell):
                         expect_f = q_binom(field, m + n, m) \
@@ -287,7 +286,7 @@ def test_monomial_matrix_multiplies_only_nonzero_digit_factors(monkeypatch):
         inverses.append(x)
         return inverse(x)
 
-    modules._inverse_q_factorial.cache_clear()
+    qcomb.inverse_q_factorial.cache_clear()
     monkeypatch.setattr(Mat, "__matmul__", counted_matmul)
     monkeypatch.setattr(Mat, "pow", counted_pow)
     monkeypatch.setattr(CycNum, "inverse", counted_inverse)
@@ -343,12 +342,6 @@ def test_element_matrix_refuses_element_of_another_algebra():
 
 def test_module_matrices_refuse_bad_index_or_kind():
     rep = verma(AlgebraParams(3, 1), 5)
-    with pytest.raises(ValueError, match=r"outside \[0, 9\)"):
-        divided_power_matrix(rep, "F", 9)
-    with pytest.raises(ValueError, match="E and F only"):
-        divided_power_matrix(rep, "G", 1)
-    with pytest.raises(ValueError, match="E and F only"):
-        divided_power_matrix(rep, "K", 1)
     for mono in ((9, 0, 0), (0, 9, 0), (0, 0, 12)):
         with pytest.raises(ValueError, match=r"\[0, 9\)"):
             monomial_matrix(rep, mono)
