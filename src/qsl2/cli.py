@@ -6,7 +6,8 @@ the module dimension ell^(N+1) for rep, the basis monomials checked,
 ell^(3(N+1)), for verify hopf, and the columns of one coinvariant block,
 ell^3, for verify cleft.  The other suites take no --cap; of them only
 verify charp grows with the basis: it indexes all p^(3(k+1)) monomials and
-multiplies all p^(3(k+1))*(p^(3k)-1) pairs.  Its check that pi is
+multiplies each by the 3k generators X^(p^i), Y^(p^i), H^(p^i), i < k,
+3k*p^(3(k+1)) products for the kernel check.  Its check that pi is
 multiplicative holds one monomial and one pi image per basis index, and
 frees both tables before the kernel check.
 Each verify-only flag is read by some suites only (`VERIFY_FLAGS`): --cap by

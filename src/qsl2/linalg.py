@@ -187,9 +187,9 @@ def _acc_mod(store: dict, key, value: int, p: int) -> None:
         store.pop(key, None)
 
 
-def rank_mod_p(rows, p: int, stop_at: int | None = None) -> int:
+def rank_mod_p(rows, p: int) -> int:
     """Rank over F_p of sparse integer rows (dicts key->value, any sortable
-    keys), with early stop; pivot rows are kept as tails, as in `_echelon`."""
+    keys), read once in order; pivot rows are kept as tails, as in `_echelon`."""
     pivots: dict = {}
     for row in rows:
         work = _reduce_row({k: v % p for k, v in row.items() if v % p},
@@ -198,6 +198,4 @@ def rank_mod_p(rows, p: int, stop_at: int | None = None) -> int:
             lead = min(work)
             scale = -pow(work.pop(lead), -1, p)
             pivots[lead] = {c: v * scale % p for c, v in work.items()}
-            if stop_at is not None and len(pivots) >= stop_at:
-                break
     return len(pivots)

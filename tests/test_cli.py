@@ -506,8 +506,32 @@ def test_verify_charp_fails_on_a_wrong_kernel_dimension(monkeypatch):
 def test_verify_charp_fails_when_the_ideal_misses_the_kernel(monkeypatch):
     rank_mod_p = hyperalgebra.rank_mod_p
     monkeypatch.setattr(hyperalgebra, "rank_mod_p",
-                        lambda rows, p, stop_at: rank_mod_p(rows, p, stop_at=stop_at) - 1)
+                        lambda rows, p: rank_mod_p(rows, p) - 1)
     _verify_charp_p2_fails_on("augmentation ideal spans kernel (rank 55): FAIL")
+
+
+def test_verify_charp_fails_when_the_generators_miss_the_augmentation_ideal(monkeypatch):
+    # Without X(1) the level-1 rows y g span 24 of the 26 dimensions of A_1^+,
+    # so containment is unproven although the level-2 rows still span.
+    multiply, rank_mod_p = hyperalgebra.hyp_multiply, hyperalgebra.rank_mod_p
+    ranks = []
+
+    def without_x1(params, x, y):
+        return {} if params.level == 1 and y == {(0, 0, 1): 1} else multiply(params, x, y)
+
+    def recording(rows, p):
+        ranks.append(rank_mod_p(rows, p))
+        return ranks[-1]
+
+    monkeypatch.setattr(hyperalgebra, "hyp_multiply", without_x1)
+    monkeypatch.setattr(hyperalgebra, "rank_mod_p", recording)
+    code, out = run(["verify", "charp", "--p", "3", "--k", "1", "--samples", "50"])
+    assert code == 1
+    assert ranks == [24, 702]
+    lines = out.splitlines()
+    assert lines[3] == "augmentation ideal spans kernel (rank 702): PASS"
+    assert all(line.endswith(": PASS") for line in lines[:4])
+    assert lines[-1] == "FAIL"
 
 
 @pytest.mark.parametrize("exponent, symmetry_failures, product_failures", [

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from qsl2 import hyperalgebra
 from qsl2.hyperalgebra import (HypParams, TruncatedSeries2, _engine,
                                additive_group_product,
                                erratum_report, erratum_text, format_hyp,
@@ -12,7 +13,7 @@ from qsl2.hyperalgebra import (HypParams, TruncatedSeries2, _engine,
                                kernel_dimensions,
                                multiplicative_group_product,
                                printed_xy_closed_form, xy_normal_order)
-from qsl2.linalg import _acc_mod
+from qsl2.linalg import _acc_mod, rank_mod_p
 
 
 def test_series_pow_squares_only_below_the_top_bit(monkeypatch):
@@ -236,8 +237,61 @@ def test_kernel_dimensions_p2():
     assert report["kernel_dim"] == 64 - 8 == report["kernel_dim_expected"]
     assert report["ideal_spans_kernel"]
     assert report["products_contained_in_kernel"]
-    # the rank stops early; containment is still decided on all big * small
-    assert report["products_checked"] == 2 ** 6 * (2 ** 3 - 1)
+    # every level-2 monomial times each of the 3k generators X(1), Y(1), H(1)
+    assert report["products_checked"] == 2 ** 6 * 3
+
+
+def _ref_kernel_dimensions(params, k):
+    """The kernel check as it was before the generator rows: every level-(k+1)
+    monomial times every non-unit level-k monomial, each product held to map
+    to zero and all of them ranked.  Kept as the oracle for
+    `kernel_dimensions`."""
+    p, step = params.p, params.p ** k
+    smalls = [mono for mono in hyp_basis(HypParams(p, k)) if any(mono)]
+    products = [hyp_multiply(params, {big: 1}, {small: 1})
+                for big in hyp_basis(params) for small in smalls]
+    kernel_dim = sum(1 for mono in hyp_basis(params) if any(i % step for i in mono))
+    span_rank = rank_mod_p(products, p)
+    return {
+        "kernel_dim": kernel_dim,
+        "kernel_matches": kernel_dim == p ** (3 * (k + 1)) - p ** (3 * k),
+        "ideal_span_rank": span_rank,
+        "ideal_spans_kernel": span_rank == kernel_dim,
+        "products_contained_in_kernel":
+            not any(frobenius_pi(params, x, k) for x in products),
+    }
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2)])
+def test_kernel_dimensions_match_all_pairs_reference(p, k):
+    params = HypParams(p, k + 1)
+    reference = _ref_kernel_dimensions(params, k)
+    report = kernel_dimensions(params, k)
+    assert {key: report[key] for key in reference} == reference
+
+
+def test_kernel_dimensions_fail_when_a_lemma_row_has_a_unit_term(monkeypatch):
+    # Each level-1 row r becomes r + r[X(1)] * 1: an injective map on A_1^+,
+    # so the lemma rank stays 26 of 26, but the rows leave A_1^+.
+    multiply = hyperalgebra.hyp_multiply
+    ranks = []
+
+    def with_unit(params, x, y):
+        prod = multiply(params, x, y)
+        if params.level == 1 and (0, 0, 1) in prod:
+            prod[(0, 0, 0)] = prod[(0, 0, 1)]
+        return prod
+
+    def recording(rows, p):
+        ranks.append(rank_mod_p(rows, p))
+        return ranks[-1]
+
+    monkeypatch.setattr(hyperalgebra, "hyp_multiply", with_unit)
+    monkeypatch.setattr(hyperalgebra, "rank_mod_p", recording)
+    report = kernel_dimensions(HypParams(3, 2), 1)
+    assert ranks == [26, 702]
+    assert report["ideal_spans_kernel"] and report["kernel_matches"]
+    assert not report["products_contained_in_kernel"]
 
 
 def test_normal_orders_equal_the_products_they_name():
