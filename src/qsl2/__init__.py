@@ -24,9 +24,8 @@ from .hopf import (Tensor2, coinvariants, convolve, gamma, gamma_colinear,
                    section, section_inverse, unit_counit_map, uq_antipode,
                    uq_coproduct)
 from .hyperalgebra import (HypParams, erratum_report, erratum_text,
-                           frobenius_pi, ga_gm_models, hx_normal_order,
-                           hy_normal_order, hyp_multiply, kernel_dimensions,
-                           xy_normal_order)
+                           frobenius_pi, hx_normal_order, hy_normal_order,
+                           hyp_multiply, kernel_dimensions, xy_normal_order)
 from .modules import (ModuleRep, SteinbergError, SteinbergResult, character,
                       element_matrix, extend_by_trivial_top, monomial_matrix,
                       primitive_vectors, pullback_via_pi, rep_relation_check,

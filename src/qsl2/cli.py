@@ -8,8 +8,9 @@ ell^3, for verify cleft.  The other suites take no --cap; of them only
 verify charp grows with the basis: it indexes all p^(3(k+1)) monomials and
 multiplies each by the 3k generators X^(p^i), Y^(p^i), H^(p^i), i < k,
 3k*p^(3(k+1)) products for the kernel check.  Its check that pi is
-multiplicative holds one monomial and one pi image per basis index, and
-frees both tables before the kernel check.
+multiplicative holds one basis triple and one pi image per basis index,
+builds of each sampled product only the terms pi keeps, and frees both
+tables before the kernel check.
 Each verify-only flag is read by some suites only (`VERIFY_FLAGS`): --cap by
 hopf and cleft, --p and --k by charp, --samples and --seed by charp and
 qbinom.  Giving one of them to any other suite is a usage error.
@@ -33,8 +34,8 @@ from .errors import ResourceCapError
 from .exprs import (ExprSyntaxError, element_to_json, evaluate, format_cyc,
                     format_element, parse_expr)
 from .hyperalgebra import (HypParams, erratum_report, erratum_text,
-                           frobenius_pi, hyp_add, hyp_basis, hyp_monomial,
-                           hyp_multiply, kernel_dimensions, xy_normal_order)
+                           frobenius_pi, hyp_add, hyp_basis, hyp_multiply,
+                           kernel_dimensions, pi_of_product, xy_normal_order)
 from .qcomb import gen_q_binom
 
 DEFAULT_CAP = 1000
@@ -323,13 +324,14 @@ def _verify_cleft(args, out) -> int:
 
 def _pi_multiplicative(params: HypParams, k: int, pairs) -> bool:
     """Whether pi(x*y) == pi(x)*pi(y) on each pair (i, j) of basis indices,
-    in `hyp_basis` order.  Each basis monomial and its pi image are built
-    once, in two tables that are freed when this returns."""
+    in `hyp_basis` order.  pi(x*y) is `pi_of_product`, which builds only the
+    terms of x*y that pi keeps.  The basis monomials and their pi images are
+    held once, in two tables that are freed when this returns."""
     low = HypParams(params.p, 1)
-    monos = [hyp_monomial(params, *mono) for mono in hyp_basis(params)]
-    images = [frobenius_pi(params, x, k) for x in monos]
+    basis = list(hyp_basis(params))
+    images = [frobenius_pi(params, {mono: 1}, k) for mono in basis]
     for i, j in pairs:
-        if frobenius_pi(params, hyp_multiply(params, monos[i], monos[j]), k) \
+        if pi_of_product(params, basis[i], basis[j], k) \
                 != hyp_multiply(low, images[i], images[j]):
             return False
     return True

@@ -16,10 +16,10 @@ claims and compared against these oracles (see erratum_report, which
 records where the printed forms disagree).  Each normal-order helper,
 X^(n) Y^(m), X^(c) H^(b) or H^(b) Y^(a), is `hyp_multiply` of two monomials.
 
-Also here: the warm-up distribution algebras of the additive and
-multiplicative groups, computed from first principles by duality against
-the coordinate Hopf algebras, and the level-lowering (Frobenius-style)
-maps between truncation levels.
+Also here: the product of the distribution algebra of the multiplicative
+group, computed from first principles by duality against its coordinate Hopf
+algebra (the oracle the erratum report reads), and the level-lowering
+(Frobenius-style) maps between truncation levels.
 """
 
 from __future__ import annotations
@@ -241,11 +241,18 @@ class _HypEngine:
         self._right[key] = memo
         return memo
 
-    def mono_mul(self, left: HypMonomial, right: HypMonomial) -> HypElement:
+    def mono_mul(self, left: HypMonomial, right: HypMonomial,
+                 step: int = 1) -> HypElement:
         """Y^(a) H^(b) X^(c) * Y^(a2) H^(b2) X^(c2).  The left table turns
         H^(b) X^(c) Y^(a2) into Y^(x) H^(k) X^(z) terms, the right table turns
         each H^(k) X^(z) H^(b2) into H^(k2) X^(z) terms, and Y^(a) Y^(x) and
-        X^(z) X^(c2) merge on the outside."""
+        X^(z) X^(c2) merge on the outside.
+
+        Only the terms whose three indices `step` divides are kept; the
+        default 1 keeps them all.  A left-table group is skipped before its
+        merges unless `step` divides a + x and z + c2, and a right-table
+        term before it is accumulated unless `step` divides k2, so the
+        terms dropped are never built."""
         a, b, c = left
         a2, b2, c2 = right
         p = self.p
@@ -254,6 +261,8 @@ class _HypEngine:
         right_table = self.right_table
         out: HypElement = {}
         for x, z, h_mid in self.left_table(b, c, a2):
+            if (a + x) % step or (z + c2) % step:
+                continue
             y_merge = xx.get((a, x))
             if y_merge is None:
                 y_merge = self.xx_merge(a, x)
@@ -269,6 +278,8 @@ class _HypEngine:
             for k, ck in h_mid:
                 scale = base * ck
                 for k2, ck2 in right_table(k, z, b2):
+                    if k2 % step:
+                        continue
                     _acc_mod(out, (a + x, k2, z + c2), scale * ck2, p)
         return out
 
@@ -362,6 +373,13 @@ def frobenius_pi(params: HypParams, x: HypElement, k: int) -> HypElement:
     return out
 
 
+def pi_of_product(params: HypParams, m: HypMonomial, n: HypMonomial,
+                  k: int) -> HypElement:
+    """pi(m*n) for two basis monomials at level k+1, exactly: the product is
+    built only on the terms whose indices p^k divides, the terms pi keeps."""
+    return frobenius_pi(params, _engine(params).mono_mul(m, n, params.p ** k), k)
+
+
 def hyp_basis(params: HypParams):
     return itertools.product(range(params.bound), repeat=3)
 
@@ -426,23 +444,7 @@ def kernel_dimensions(params: HypParams, k: int) -> dict:
     }
 
 
-# -- warm-up algebras by duality ---------------------------------------------
-
-
-def additive_group_product(p: int, a: int, b: int, cap: int) -> dict[int, int]:
-    """gamma_a * gamma_b in the distribution algebra of the additive group,
-    evaluated by duality: (gamma_a gamma_b)(t^m) through Delta(t) = t(x)1 + 1(x)t."""
-    out: dict[int, int] = {}
-    for m in range(cap + 1):
-        total = 0
-        for i in range(m + 1):
-            # gamma_a(t^i) gamma_b(t^(m-i))
-            if i == a and m - i == b:
-                total += math.comb(m, i)
-        total %= p
-        if total:
-            out[m] = total
-    return out
+# -- the multiplicative group by duality ---------------------------------------
 
 
 def multiplicative_group_product(p: int, a: int, b: int, cap: int) -> dict[int, int]:
@@ -468,29 +470,6 @@ def multiplicative_group_product(p: int, a: int, b: int, cap: int) -> dict[int, 
         if total:
             out[m] = total
     return out
-
-
-def ga_gm_models(p: int, cap: int = 8) -> dict:
-    """Product tables of the two warm-up algebras, from the duality oracles,
-    with the closed-form claims evaluated alongside."""
-    if not is_prime(p):
-        raise ValueError(f"modulus must be prime, got {p}")
-    ga: dict[tuple[int, int], dict[int, int]] = {}
-    ga_matches = True
-    for a in range(cap + 1):
-        for b in range(cap + 1):
-            oracle = additive_group_product(p, a, b, 2 * cap)
-            ga[(a, b)] = oracle
-            closed = {a + b: math.comb(a + b, a) % p} \
-                if math.comb(a + b, a) % p else {}
-            ga_matches = ga_matches and oracle == closed
-    gm: dict[tuple[int, int], dict[int, int]] = {}
-    for a in range(cap + 1):
-        for b in range(cap + 1):
-            gm[(a, b)] = multiplicative_group_product(p, a, b, 2 * cap)
-    return {"p": p, "cap": cap,
-            "additive": ga, "additive_closed_form_matches": ga_matches,
-            "multiplicative": gm}
 
 
 # -- printed closed forms and the erratum report -------------------------------

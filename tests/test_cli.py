@@ -458,24 +458,41 @@ def test_verify_charp_fails_when_products_leave_the_kernel(monkeypatch):
     assert not report["pass"]
 
 
+def test_verify_charp_fails_when_the_product_drops_terms_pi_keeps(monkeypatch):
+    # Step p^(k+1) keeps only the level-2 terms with indices divisible by 4,
+    # so pi(X(2) * 1) = X(1) is built as 0.
+    def too_coarse(params, m, n, k):
+        eng = hyperalgebra._engine(params)
+        return hyperalgebra.frobenius_pi(
+            params, eng.mono_mul(m, n, params.p ** (k + 1)), k)
+
+    monkeypatch.setattr(cli, "pi_of_product", too_coarse)
+    code, out = run(["verify", "charp", "--p", "2", "--k", "1"])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1] == ("level-lowering map multiplicative on 4096 pairs "
+                        "(exhaustive): FAIL")
+    assert lines[-1] == "FAIL"
+
+
 def test_verify_charp_checks_the_pairs_its_seed_draws(monkeypatch):
     # Two randrange(729) draws per pair, unranked in hyp_basis order: a seed
     # names the same level-2 factor pairs whatever the check holds in memory.
     pairs = []
 
-    def recording(params, x, y):
+    def recording(params, m, n, k):
         if params.level == 2:
-            pairs.append((x, y))
-        return hyperalgebra.hyp_multiply(params, x, y)
+            pairs.append((m, n))
+        return hyperalgebra.pi_of_product(params, m, n, k)
 
-    monkeypatch.setattr(cli, "hyp_multiply", recording)
+    monkeypatch.setattr(cli, "pi_of_product", recording)
     code, _ = run(["verify", "charp", "--p", "3", "--k", "1", "--samples", "5",
                    "--seed", "7"])
     assert code == 0
     rng = random.Random(7)
 
     def monomial(i):
-        return {(i // 81, (i // 9) % 9, i % 9): 1}
+        return (i // 81, (i // 9) % 9, i % 9)
 
     assert pairs == [(monomial(rng.randrange(729)), monomial(rng.randrange(729)))
                      for _ in range(5)]
