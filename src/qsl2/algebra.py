@@ -345,13 +345,6 @@ def divided_power(params: AlgebraParams, kind: str, m: int) -> AlgElement:
     return AlgElement.monomial(params, m, 0, 0)
 
 
-def k_monomial(params: AlgebraParams, n: int) -> AlgElement:
-    """The K-monomial with digit vector given by n, 0 <= n < ell^(N+1)."""
-    if not 0 <= n < params.bound:
-        raise ValueError(f"K-monomial index {n} outside [0, {params.bound})")
-    return AlgElement.monomial(params, 0, n, 0)
-
-
 def k_binom_element(params: AlgebraParams, shift: int, t: int) -> AlgElement:
     """The digitwise K-binomial <K; shift; t> expanded into K monomials,
     for a depth 0 <= t < ell^(N+1); any integer shift."""
@@ -379,30 +372,9 @@ def basis_monomials(params: AlgebraParams):
     return itertools.product(range(params.bound), repeat=3)
 
 
-def grading_degree(x: AlgElement) -> int | None:
-    """Common Z-degree of all terms (deg E[i] = -deg F[i] = ell^i), or None if mixed."""
-    degree = None
-    for (m, _, p) in x.terms:
-        d = p - m
-        if degree is None:
-            degree = d
-        elif degree != d:
-            return None
-    return 0 if degree is None else degree
-
-
 def counit_mono(mono: Monomial) -> bool:
     """The augmentation of F^(m) K^n E^(p): 1 (True) on a K monomial, else 0."""
     return mono[0] == mono[2] == 0
-
-
-def counit_eps(x: AlgElement) -> CycNum:
-    """The augmentation: kills E and F parts, sends every K monomial to 1."""
-    result = x.params.field.zero()
-    for mono, coeff in x.terms.items():
-        if counit_mono(mono):
-            result = result + coeff
-    return result
 
 
 def projection_pi(x: AlgElement, target_level: int) -> AlgElement:

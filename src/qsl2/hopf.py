@@ -220,14 +220,6 @@ def _cache(params: AlgebraParams) -> _HopfCache:
     return cache
 
 
-def uq_coproduct(x: AlgElement) -> Tensor2:
-    """Coproduct on the small quantum group, extended multiplicatively: the
-    coaction at level 0."""
-    if x.params.level != 0:
-        raise ValueError("the coproduct lives on the level-0 algebra")
-    return rho(x)
-
-
 def uq_antipode(x: AlgElement) -> AlgElement:
     """Antipode on the small quantum group, extended antimultiplicatively."""
     if x.params.level != 0:

@@ -10,11 +10,22 @@ not transcribed: the defining data are the generating-function relations
     X(t) Y(u) = Y(u / (1+tu)) H(tu) X(t / (1+tu))
 
 where X(t) = sum_n t^n X^(n) and so on.  Every structure constant is a
-coefficient of a truncated bivariate power series obtained by substituting
-the argument series above; closed-form product formulas are treated as
-claims and compared against these oracles (see erratum_report, which
-records where the printed forms disagree).  Each normal-order helper,
-X^(n) Y^(m), X^(c) H^(b) or H^(b) Y^(a), is `hyp_multiply` of two monomials.
+coefficient [s^j] (1+s)^e of a one-variable series, e an integer, by three
+exact identities of the relations above:
+
+    X^(n) Y^(m):  (u/(1+tu))^a (t/(1+tu))^c = u^a t^c (1+tu)^-(a+c), so the
+                  coefficient on Y^(a) H^(b) X^(c) is [s^j] (1+s)^-(a+c),
+                  where j = n-b-c = m-b-a >= 0;
+    H^(m) H^(n):  t+u+tu = t + u(1+t), so the coefficient on H^(k) is
+                  [s^n] (1+s)^k * [s^(m+n-k)] (1+s)^n, max(m, n) <= k <= m+n;
+    X^(m) X^(n):  [t^m u^n] (t+u)^(m+n) = [s^m] (1+s)^(m+n);
+
+and moving H^(b) past a generator of H-weight w reads (1+s)^w.  The series
+power is computed over F_p, never read off a binomial formula, so the
+closed-form product formulas stay claims compared against these oracles
+(see erratum_report, which records where the printed forms disagree).
+Each normal-order helper, X^(n) Y^(m) or X^(c) H^(b), is `hyp_multiply`
+of two monomials.
 
 Also here: the product of the distribution algebra of the multiplicative
 group, computed from first principles by duality against its coordinate Hopf
@@ -55,7 +66,8 @@ class HypParams:
 
 
 class TruncatedSeries2:
-    """Bivariate power series in t, u over F_p, truncated at (order_t, order_u)."""
+    """Power series in t, u over F_p, truncated at (order_t, order_u); the
+    engine's series have order_u = 0, so they are series in t alone."""
 
     __slots__ = ("p", "order_t", "order_u", "coeffs")
 
@@ -83,19 +95,6 @@ class TruncatedSeries2:
         return square_and_multiply(
             self, k, TruncatedSeries2.one(self.p, self.order_t, self.order_u))
 
-    def get(self, i: int, j: int) -> int:
-        return self.coeffs.get((i, j), 0)
-
-
-def _inv_one_plus_tu(p: int, order_t: int, order_u: int) -> TruncatedSeries2:
-    """1/(1+tu) = sum (-1)^k (tu)^k, truncated."""
-    out = {}
-    for k in range(min(order_t, order_u) + 1):
-        v = (-1) ** k % p
-        if v:
-            out[(k, k)] = v
-    return TruncatedSeries2(p, order_t, order_u, out)
-
 
 def _one_plus_t_pow(p: int, e: int, order_t: int) -> dict[int, int]:
     """Coefficients of (1+t)^e mod p up to t^order_t, any integer e."""
@@ -110,11 +109,15 @@ def _one_plus_t_pow(p: int, e: int, order_t: int) -> dict[int, int]:
 class _HypEngine:
     """Memo tables for one (p, level) pair; every index is below bound = p^level.
 
-    Four oracle tables, each filled by series coefficient extraction:
-    `_xy` (X^(n) Y^(m), keyed (n, m)), `_hh` (H^(m) H^(n), keyed (m, n)) and
-    `_xx` (X^(m) X^(n), keyed (m, n)) have at most bound^2 keys; `_move`
-    (H^(b) past a generator of H-weight w, keyed (b, w)) has at most
-    bound * (2 bound - 1), since w is -2x or 2c.
+    Four oracle tables.  `_move` (keyed (b, e)) holds the coefficients of
+    (1+s)^e up to s^b, read backwards: H^(b) moves past a generator of
+    H-weight e = -2x or 2c, and `coeff(e, j)` = [s^j] (1+s)^e reads the entry
+    (bound - 1, e), which holds every coefficient below s^bound.  The
+    exponents run over |e| <= 2 (bound - 1), so `_move` has at most
+    bound * (4 bound - 3) keys.  The other three are read off `coeff` by the
+    identities in the module docstring: `_xy` (X^(n) Y^(m), keyed (n, m)),
+    `_hh` (H^(m) H^(n), keyed (m, n)) and `_xx` (X^(m) X^(n), keyed (m, n)),
+    each with at most bound^2 keys.
 
     Two product tables, built only from the oracle tables, split mono_mul:
     `_left` (H^(b) X^(c) Y^(a2), keyed (b, c, a2)) and `_right`
@@ -132,47 +135,39 @@ class _HypEngine:
         self._left: dict[tuple[int, int, int], tuple] = {}
         self._right: dict[tuple[int, int, int], tuple] = {}
 
+    def coeff(self, e: int, j: int) -> int:
+        """[s^j] (1+s)^e mod p, for any integer e and 0 <= j < bound."""
+        top = self.bound - 1
+        return self.move_table(top, e).get(top - j, 0)
+
     def xy_table(self, n: int, m: int) -> HypElement:
-        """Normal order of X^(n) Y^(m) by bivariate coefficient extraction."""
+        """Normal order of X^(n) Y^(m): Y^(a) H^(b) X^(c) has coefficient
+        [s^j] (1+s)^-(a+c), j = m-a-b = n-c-b."""
         key = (n, m)
         memo = self._xy.get(key)
         if memo is not None:
             return memo
-        p = self.p
-        inv = _inv_one_plus_tu(p, n, m)
-        su = TruncatedSeries2(p, n, m, {(0, 1): 1}) * inv   # u/(1+tu)
-        st = TruncatedSeries2(p, n, m, {(1, 0): 1}) * inv   # t/(1+tu)
-        su_pows = [TruncatedSeries2.one(p, n, m)]
-        for _ in range(m):
-            su_pows.append(su_pows[-1] * su)
-        st_pows = [TruncatedSeries2.one(p, n, m)]
-        for _ in range(n):
-            st_pows.append(st_pows[-1] * st)
         out: HypElement = {}
-        for a in range(m + 1):
-            for c in range(n + 1):
-                prod = su_pows[a] * st_pows[c]
-                for b in range(min(n, m) + 1):
-                    v = prod.get(n - b, m - b)
-                    if v:
-                        out[(a, b, c)] = v
+        for a in range(max(0, m - n), m + 1):
+            c = n - m + a
+            for b in range(m - a + 1):
+                v = self.coeff(-(a + c), m - a - b)
+                if v:
+                    out[(a, b, c)] = v
         self._xy[key] = out
         return out
 
     def hh_table(self, m: int, n: int) -> dict[int, int]:
-        """H^(m) H^(n) = sum_k c_k H^(k), from H(t)H(u) = H(t+u+tu)."""
+        """H^(m) H^(n) = sum_k c_k H^(k), from H(t)H(u) = H(t + u(1+t)):
+        c_k = [s^n] (1+s)^k * [s^(m+n-k)] (1+s)^n."""
         key = (m, n)
         memo = self._hh.get(key)
         if memo is not None:
             return memo
         p = self.p
-        w = TruncatedSeries2(p, m, n, {(1, 0): 1, (0, 1): 1, (1, 1): 1})
         out: dict[int, int] = {}
-        wk = TruncatedSeries2.one(p, m, n)
-        for k in range(m + n + 1):
-            if k:
-                wk = wk * w
-            v = wk.get(m, n)
+        for k in range(max(m, n), m + n + 1):
+            v = self.coeff(k, n) * self.coeff(n, m + n - k) % p
             if v:
                 out[k] = v
         self._hh[key] = out
@@ -195,12 +190,12 @@ class _HypEngine:
         return out
 
     def xx_merge(self, m: int, n: int) -> int:
-        """Scalar c with X^(m) X^(n) = c X^(m+n), from X(t)X(u) = X(t+u)."""
+        """Scalar c with X^(m) X^(n) = c X^(m+n), from X(t)X(u) = X(t+u):
+        c = [s^m] (1+s)^(m+n)."""
         key = (m, n)
         memo = self._xx.get(key)
         if memo is None:
-            w = TruncatedSeries2(self.p, m, n, {(1, 0): 1, (0, 1): 1})
-            memo = w.pow(m + n).get(m, n)
+            memo = self.coeff(m + n, m)
             self._xx[key] = memo
         return memo
 
@@ -351,12 +346,6 @@ def hx_normal_order(params: HypParams, b: int, c: int) -> HypElement:
     """X^(c) H^(b) = sum_j [(1+t)^(-2c)]_(b-j) H^(j) X^(c), the product."""
     return hyp_multiply(params, hyp_monomial(params, 0, 0, c),
                         hyp_monomial(params, 0, b, 0))
-
-
-def hy_normal_order(params: HypParams, b: int, a: int) -> HypElement:
-    """H^(b) Y^(a) = sum_j [(1+t)^(-2a)]_(b-j) Y^(a) H^(j), the product."""
-    return hyp_multiply(params, hyp_monomial(params, 0, b, 0),
-                        hyp_monomial(params, a, 0, 0))
 
 
 def frobenius_pi(params: HypParams, x: HypElement, k: int) -> HypElement:

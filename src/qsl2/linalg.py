@@ -154,10 +154,6 @@ def _echelon(columns: list[dict]):
     return pivot_rows
 
 
-def rank_of_columns(columns: list[dict]) -> int:
-    return len(_echelon(columns))
-
-
 def nullspace_of_columns(columns: list[dict], field: CycField) -> list[dict[int, CycNum]]:
     """Basis of {x : sum_i x_i * columns[i] = 0}, one vector per free column:
     x_free = 1, the other free coordinates 0, and each pivot coordinate

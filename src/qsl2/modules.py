@@ -140,12 +140,6 @@ def uq_simple(ell: int, z: int, root_exponent: int = 1) -> ModuleRep:
     return simple(uq_params(ell, root_exponent), z)
 
 
-def trivial_rep(params: AlgebraParams) -> ModuleRep:
-    """The one-dimensional module through the augmentation: the simple
-    module of weight 0, where E and F act by 0 and K by 1."""
-    return simple(params, 0)
-
-
 def _digit_factors(rep: ModuleRep, kind: str, m: int) -> list[Mat]:
     """One matrix per nonzero ell-adic digit d of m at level i: K[i]^d for
     kind "K", and the divided power E[i]^d/[d]! or F[i]^d/[d]! otherwise.

@@ -4,10 +4,10 @@ import random
 import pytest
 
 from qsl2.algebra import (AlgebraParams, AlgElement, all_residues_zero,
-                          basis_monomials, counit_eps,
-                          divided_power, engine_for, generator, grading_degree,
-                          inclusion_iota, k_binom_element, k_monomial,
-                          projection_pi, relation_residues, uq_params)
+                          basis_monomials, counit_mono, divided_power,
+                          engine_for, generator, inclusion_iota,
+                          k_binom_element, projection_pi, relation_residues,
+                          uq_params)
 from qsl2.modules import element_matrix, monomial_matrix, verma
 from qsl2.qcomb import gen_q_binom, k_binom_laurent, q_factorial
 
@@ -181,33 +181,35 @@ def test_triangular_decomposition_hits_basis_once():
     p = AlgebraParams(3, 1)
     seen = set()
     for (m, n, pp) in basis_monomials(p):
-        prod = divided_power(p, "F", m) * k_monomial(p, n) * divided_power(p, "E", pp)
+        k_n = AlgElement.monomial(p, 0, n, 0)
+        prod = divided_power(p, "F", m) * k_n * divided_power(p, "E", pp)
         assert prod.terms == {(m, n, pp): p.field.one()}
         seen.add((m, n, pp))
     assert len(seen) == 729
 
 
-def test_k_monomial_refuses_out_of_range_index():
-    p = AlgebraParams(3, 1)
-    assert k_monomial(p, 8).terms == {(0, 8, 0): p.field.one()}
-    for n in (9, -1):
-        with pytest.raises(ValueError, match=rf"{n} outside \[0, 9\)"):
-            k_monomial(p, n)
+def _grading_degree(x):
+    """Common Z-degree of all terms (deg E[i] = -deg F[i] = ell^i), or None
+    if mixed."""
+    degrees = {p - m for (m, _, p) in x.terms}
+    if len(degrees) > 1:
+        return None
+    return degrees.pop() if degrees else 0
 
 
 def test_grading():
     p = AlgebraParams(3, 1)
-    assert grading_degree(generator(p, "E", 1)) == 3
-    assert grading_degree(AlgElement.unit(p)) == 0
-    assert grading_degree(generator(p, "E", 0) + generator(p, "F", 0)) is None
+    assert _grading_degree(generator(p, "E", 1)) == 3
+    assert _grading_degree(AlgElement.unit(p)) == 0
+    assert _grading_degree(generator(p, "E", 0) + generator(p, "F", 0)) is None
     rng = random.Random(3)
     for _ in range(50):
         a = rand_elem(rng, p)
         b = rand_elem(rng, p)
-        da, db = grading_degree(a), grading_degree(b)
+        da, db = _grading_degree(a), _grading_degree(b)
         prod = a * b
         if not prod.is_zero():
-            assert grading_degree(prod) == da + db
+            assert _grading_degree(prod) == da + db
 
 
 def test_projection_on_generators():
@@ -245,13 +247,19 @@ def test_inclusion():
 
 
 def test_counit():
+    # The augmentation sums the coefficients of the K monomials.
     p = AlgebraParams(3, 1)
-    assert counit_eps(generator(p, "K", 1)) == p.field.one()
-    assert counit_eps(generator(p, "E", 1)).is_zero()
+
+    def counit(x):
+        return sum((c for mono, c in x.terms.items() if counit_mono(mono)),
+                   p.field.zero())
+
+    assert counit(generator(p, "K", 1)) == p.field.one()
+    assert counit(generator(p, "E", 1)).is_zero()
     rng = random.Random(5)
     for _ in range(200):
         a, b = rand_elem(rng, p), rand_elem(rng, p)
-        assert counit_eps(a * b) == counit_eps(a) * counit_eps(b)
+        assert counit(a * b) == counit(a) * counit(b)
 
 
 def test_bad_parameters():

@@ -412,7 +412,7 @@ def _rep_steinberg_with_tensor_rep(monkeypatch, change):
 
 def test_rep_steinberg_fails_on_a_tensor_rep_of_the_wrong_dimension(monkeypatch):
     code, out, payload = _rep_steinberg_with_tensor_rep(
-        monkeypatch, lambda rep: modules.trivial_rep(rep.params))
+        monkeypatch, lambda rep: modules.simple(rep.params, 0))
     assert (code, out) == (1, "FAIL (dimension mismatch)\n")
     assert payload == {"pass": False, "detail": {
         "p": 5, "simple_dim": 6, "tensor_dim": 1}}

@@ -12,17 +12,17 @@ from qsl2.algebra import (AlgebraParams, AlgElement, basis_monomials,
 from qsl2.cyclotomic import CycNum
 from qsl2.hopf import (Tensor2, coinvariants, convolve, gamma, gamma_colinear,
                        hopf_axiom_check, is_coinvariant, rho, section,
-                       section_inverse, unit_counit_map, uq_antipode,
-                       uq_coproduct)
+                       section_inverse, unit_counit_map, uq_antipode)
 from qsl2.qcomb import q_factorial, q_int
 
 
 def test_coproduct_group_like_and_unit():
+    # At level 0 the coaction rho is the coproduct of u.
     p = uq_params(3)
     k = generator(p, "K", 0)
-    assert uq_coproduct(k) == Tensor2.of(k, k)
+    assert rho(k) == Tensor2.of(k, k)
     one = AlgElement.unit(p)
-    assert uq_coproduct(one) == Tensor2.of(one, one)
+    assert rho(one) == Tensor2.of(one, one)
 
 
 def test_coproduct_of_divided_square_directly():
@@ -30,7 +30,7 @@ def test_coproduct_of_divided_square_directly():
     p = uq_params(5)
     field = p.field
     e = generator(p, "E", 0)
-    d = uq_coproduct(e)
+    d = rho(e)
     square = (d * d).scaled(q_int(field, 2).inverse())
     e2 = AlgElement.monomial(p, 0, 0, 2)
     ek = AlgElement(p, {(0, 1, 1): field.one()})
@@ -41,7 +41,7 @@ def test_coproduct_of_divided_square_directly():
     manual = Tensor2.of(e2, one) + Tensor2.of(k2, e2)
     ek_coeff = (field.one() + field.lambda_pow(-2)) * q_int(field, 2).inverse()
     manual = manual + Tensor2.of(ek.scaled(ek_coeff), e)
-    assert square == uq_coproduct(e2)
+    assert square == rho(e2)
     assert square == manual
 
 
@@ -52,7 +52,7 @@ def test_antipode_axiom_and_square():
     assert uq_antipode(k) * k == AlgElement.unit(p)
     # m(S (x) id) Delta(E) = eps(E) 1 = 0
     acc = AlgElement.zero(p)
-    for (u1, u2), coeff in uq_coproduct(e).terms.items():
+    for (u1, u2), coeff in rho(e).terms.items():
         acc = acc + (uq_antipode(AlgElement(p, {u1: field.one()}))
                      * AlgElement(p, {u2: field.one()})).scaled(coeff)
     assert acc.is_zero()
@@ -450,7 +450,7 @@ def test_verify_cleft_fails_on_a_wrong_antipode(monkeypatch):
 
 def _ref_element_sum(table, zero, x):
     """zero + sum of table(mono).scaled(coeff) over the terms of x, one new
-    element per term, as uq_coproduct, uq_antipode and rho summed before."""
+    element per term, as the coproduct, uq_antipode and rho summed before."""
     out = zero
     for mono, coeff in x.terms.items():
         out = out + table(mono).scaled(coeff)
@@ -472,7 +472,7 @@ def test_coproduct_antipode_and_coaction_match_the_element_sums(seed):
         u = uq_params(ell)
         cache = hopf._cache(u)
         x = _random_element(u, rng)
-        assert uq_coproduct(x) == _ref_element_sum(cache.delta_mono, Tensor2(u, u), x)
+        assert rho(x) == _ref_element_sum(cache.delta_mono, Tensor2(u, u), x)
         assert uq_antipode(x) == _ref_element_sum(cache.antipode_mono,
                                                   AlgElement.zero(u), x)
         assert rho(x) == _ref_element_sum(cache.rho_mono, Tensor2(u, u), x)
@@ -486,7 +486,7 @@ def test_coproduct_antipode_and_coaction_match_the_element_sums(seed):
 
 def test_tensor_scaled_accepts_int_and_fraction_factors():
     u = uq_params(3)
-    d = uq_coproduct(generator(u, "E", 0) + generator(u, "F", 0))
+    d = rho(generator(u, "E", 0) + generator(u, "F", 0))
     assert d.scaled(2) == d + d
     half = d.scaled(Fraction(1, 2))
     assert half == d.scaled(u.field.rational(Fraction(1, 2)))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,11 +6,10 @@ import pytest
 
 from qsl2 import hyperalgebra
 from qsl2.hyperalgebra import (HypParams, TruncatedSeries2, _engine,
-                               erratum_report, erratum_text, format_hyp,
-                               frobenius_pi, hx_normal_order,
-                               hy_normal_order, hyp_add, hyp_basis,
-                               hyp_monomial, hyp_multiply, hyp_scale,
-                               kernel_dimensions,
+                               _HypEngine, erratum_report, erratum_text,
+                               format_hyp, frobenius_pi, hx_normal_order,
+                               hyp_add, hyp_basis, hyp_monomial,
+                               hyp_multiply, hyp_scale, kernel_dimensions,
                                multiplicative_group_product,
                                printed_xy_closed_form, xy_normal_order)
 from qsl2.linalg import _acc_mod, rank_mod_p
@@ -34,6 +34,94 @@ def test_series_pow_squares_only_below_the_top_bit(monkeypatch):
         assert calls == bin(k).count("1") + k.bit_length() - 2, k
         assert result.coeffs == {(i, 0): math.comb(k, i) % 5
                                  for i in range(k + 1) if math.comb(k, i) % 5}
+
+
+def _inv_one_plus_tu(p, order_t, order_u):
+    """1/(1+tu) = sum (-1)^k (tu)^k, truncated."""
+    out = {}
+    for k in range(min(order_t, order_u) + 1):
+        v = (-1) ** k % p
+        if v:
+            out[(k, k)] = v
+    return TruncatedSeries2(p, order_t, order_u, out)
+
+
+def _ref_xy_table(p, n, m):
+    """X^(n) Y^(m) as the engine derived it before the one-variable reads:
+    the coefficient of t^n u^m in Y(u/(1+tu)) H(tu) X(t/(1+tu)), from the
+    bivariate powers (u/(1+tu))^a (t/(1+tu))^c.  Kept as the oracle for
+    `_HypEngine.xy_table`."""
+    inv = _inv_one_plus_tu(p, n, m)
+    su = TruncatedSeries2(p, n, m, {(0, 1): 1}) * inv   # u/(1+tu)
+    st = TruncatedSeries2(p, n, m, {(1, 0): 1}) * inv   # t/(1+tu)
+    su_pows = [TruncatedSeries2.one(p, n, m)]
+    for _ in range(m):
+        su_pows.append(su_pows[-1] * su)
+    st_pows = [TruncatedSeries2.one(p, n, m)]
+    for _ in range(n):
+        st_pows.append(st_pows[-1] * st)
+    out = {}
+    for a in range(m + 1):
+        for c in range(n + 1):
+            prod = su_pows[a] * st_pows[c]
+            for b in range(min(n, m) + 1):
+                v = prod.coeffs.get((n - b, m - b), 0)
+                if v:
+                    out[(a, b, c)] = v
+    return out
+
+
+def _ref_hh_table(p, m, n):
+    """H^(m) H^(n) = sum_k [t^m u^n] (t+u+tu)^k H^(k), the bivariate powers
+    expanded in full.  Kept as the oracle for `_HypEngine.hh_table`."""
+    w = TruncatedSeries2(p, m, n, {(1, 0): 1, (0, 1): 1, (1, 1): 1})
+    out = {}
+    wk = TruncatedSeries2.one(p, m, n)
+    for k in range(m + n + 1):
+        if k:
+            wk = wk * w
+        v = wk.coeffs.get((m, n), 0)
+        if v:
+            out[k] = v
+    return out
+
+
+def _ref_xx_merge(p, m, n):
+    """[t^m u^n] (t+u)^(m+n), the scalar of X^(m) X^(n) = c X^(m+n).  Kept as
+    the oracle for `_HypEngine.xx_merge`."""
+    w = TruncatedSeries2(p, m, n, {(1, 0): 1, (0, 1): 1})
+    return w.pow(m + n).coeffs.get((m, n), 0)
+
+
+def _table_mismatches(eng, keys):
+    """The (table, i, j) on which an oracle table differs from its
+    bivariate reference."""
+    checks = (("xy", eng.xy_table, _ref_xy_table),
+              ("hh", eng.hh_table, _ref_hh_table),
+              ("xx", eng.xx_merge, _ref_xx_merge))
+    return [(name, i, j) for i, j in keys for name, table, ref in checks
+            if table(i, j) != ref(eng.p, i, j)]
+
+
+@pytest.mark.parametrize("p,level,samples", [
+    (2, 3, None), (3, 2, None), (5, 1, None), (7, 1, None), (5, 2, 100)])
+def test_oracle_tables_match_bivariate_references(p, level, samples):
+    # Every key, or a seeded sample of them at (5, 2), on a fresh engine.
+    eng = _HypEngine(HypParams(p, level))
+    keys = list(itertools.product(range(eng.bound), repeat=2))
+    if samples:
+        keys = random.Random(3).sample(keys, samples)
+    assert _table_mismatches(eng, keys) == []
+
+
+def test_table_comparison_catches_a_flipped_exponent(monkeypatch):
+    # X^(n) Y^(m) read off (1+s)^(a+c) in place of (1+s)^-(a+c): the only
+    # negative exponents the tables read are the XY ones.
+    eng = _HypEngine(HypParams(3, 2))
+    coeff = eng.coeff
+    monkeypatch.setattr(eng, "coeff", lambda e, j: coeff(abs(e), j))
+    mismatches = _table_mismatches(eng, itertools.product(range(9), repeat=2))
+    assert mismatches and {name for name, _, _ in mismatches} == {"xy"}
 
 
 def _ref_mono_mul(eng, left, right):
@@ -88,11 +176,11 @@ def test_mono_mul_matches_reference_exhaustive(p, level):
             _assert_mono_mul_matches_reference(eng, left, right)
 
 
-# At (5, 2) the pairs reach XY tables up to order 24 x 24, and filling the
-# tables, not the products, sets the test's time: it samples fewer pairs.
+# At (5, 2) each pair's products, built for three steps and by the
+# reference, cost more than at (3, 2) or (2, 3): it samples fewer pairs.
 @pytest.mark.parametrize("p,level,samples", [
     pytest.param(3, 2, 5000, id="3-2"), pytest.param(2, 3, 5000, id="2-3"),
-    pytest.param(5, 2, 150, id="5-2")])
+    pytest.param(5, 2, 1000, id="5-2")])
 def test_mono_mul_matches_reference_sampled(p, level, samples):
     eng = _engine(HypParams(p, level))
     rng = random.Random(11)
@@ -139,8 +227,9 @@ def test_hx_examples():
     assert x_h == {(0, 1, 1): 1, (0, 0, 1): 3}
     assert hx_normal_order(params, 1, 1) == x_h
     assert hx_normal_order(params, 2, 0) == {(0, 2, 0): 1}
-    # Y version picks up the negative weight
-    assert hy_normal_order(params, 1, 1) == {(1, 1, 0): 1, (1, 0, 0): 5 - 2}
+    # H Y = Y H - 2 Y: the Y version picks up the negative weight
+    assert hyp_multiply(params, {(0, 1, 0): 1}, {(1, 0, 0): 1}) == {
+        (1, 1, 0): 1, (1, 0, 0): 5 - 2}
 
 
 def test_h_commutator_with_powers():
@@ -319,7 +408,7 @@ def test_normal_orders_equal_the_products_they_name():
                 xy = hyp_multiply(params, {(0, 0, i): 1}, {(j, 0, 0): 1})
                 assert xy_normal_order(params, i, j) == xy == eng.xy_table(i, j)
                 hy = hyp_multiply(params, {(0, i, 0): 1}, {(j, 0, 0): 1})
-                assert hy_normal_order(params, i, j) == hy == {
+                assert hy == {
                     (j, k, 0): v for k, v in eng.move_table(i, -2 * j).items()}
                 hx = hyp_multiply(params, {(0, 0, j): 1}, {(0, i, 0): 1})
                 assert hx_normal_order(params, i, j) == hx == {
@@ -328,7 +417,7 @@ def test_normal_orders_equal_the_products_they_name():
 
 def test_normal_orders_refuse_indices_outside_bound():
     params = HypParams(3, 1)
-    for order in (hx_normal_order, hy_normal_order, xy_normal_order):
+    for order in (hx_normal_order, xy_normal_order):
         for args in ((5, 4), (3, 0), (0, 3), (-1, 0)):
             with pytest.raises(ValueError):
                 order(params, *args)

@@ -11,7 +11,7 @@ from qsl2.modules import (SteinbergError, character, element_matrix,
                           extend_by_trivial_top, monomial_matrix,
                           primitive_vectors, pullback_via_pi,
                           rep_relation_check, simple, steinberg_intertwiner,
-                          tensor_rep, trivial_rep, uq_simple, verma)
+                          tensor_rep, uq_simple, verma)
 from qsl2.qcomb import q_binom, q_factorial, q_int, to_digits
 
 
@@ -118,7 +118,7 @@ def test_character_of_verma_is_multiplicity_free():
 
 def test_character_totals():
     p = AlgebraParams(3, 1)
-    assert character(trivial_rep(p)) == {(0, 0): 1}
+    assert character(simple(p, 0)) == {(0, 0): 1}
     for weight in (3, 5, 7):
         rep = simple(p, weight)
         assert sum(character(rep).values()) == rep.dim
@@ -169,7 +169,7 @@ def test_pullback():
     assert rep.dim == target.dim
     assert character(rep) == character(target)
     triv = pullback_via_pi(uq_simple(3, 0), p)
-    assert character(triv) == character(trivial_rep(p))
+    assert character(triv) == character(simple(p, 0))
 
 
 def test_tensor_action_formulas():
