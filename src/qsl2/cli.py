@@ -8,9 +8,12 @@ ell^3, for verify cleft.  The other suites take no --cap; of them only
 verify charp grows with the basis: it indexes all p^(3(k+1)) monomials and
 multiplies each by the 3k generators X^(p^i), Y^(p^i), H^(p^i), i < k,
 3k*p^(3(k+1)) products for the kernel check.  Its check that pi is
-multiplicative holds one basis triple and one pi image per basis index,
-builds of each sampled product only the terms pi keeps, and frees both
-tables before the kernel check.
+multiplicative holds one basis triple and one pi image per basis index and
+frees both tables before the kernel check; of each sampled product it
+builds, and memoizes, only the left-table groups that give the terms pi
+keeps.  The sampled suites draw indices from `_indices`, the stream of
+repeated rng.randrange(n): charp two per pair, qbinom its pairs and then
+its triples from one stream.
 Each verify-only flag is read by some suites only (`VERIFY_FLAGS`): --cap by
 hopf and cleft, --p and --k by charp, --samples and --seed by charp and
 qbinom.  Giving one of them to any other suite is a usage error.
@@ -27,6 +30,7 @@ import json
 import os
 import random
 import sys
+from itertools import islice
 
 from .algebra import (AlgebraParams, basis_monomials, relation_residues,
                       uq_params)
@@ -322,6 +326,18 @@ def _verify_cleft(args, out) -> int:
     return 0 if ok else 1
 
 
+def _indices(rng: random.Random, n: int):
+    """Endless uniform draws from range(n): rng.getrandbits(n.bit_length()),
+    each draw >= n skipped.  On CPython 3.10-3.13 this is exactly the stream
+    of repeated rng.randrange(n), without its per-call overhead."""
+    bits = n.bit_length()
+    getrandbits = rng.getrandbits
+    while True:
+        i = getrandbits(bits)
+        if i < n:
+            yield i
+
+
 def _pi_multiplicative(params: HypParams, k: int, pairs) -> bool:
     """Whether pi(x*y) == pi(x)*pi(y) on each pair (i, j) of basis indices,
     in `hyp_basis` order.  pi(x*y) is `pi_of_product`, which builds only the
@@ -353,8 +369,8 @@ def _verify_charp(args, out) -> int:
         mode = "exhaustive"
     else:
         count = args.samples
-        pairs = ((rng.randrange(total), rng.randrange(total))
-                 for _ in range(count))
+        draws = _indices(rng, total)
+        pairs = islice(zip(draws, draws), count)
         mode = f"sampled ({count})"
 
     pi_ok = _pi_multiplicative(params, k, pairs)
@@ -397,10 +413,9 @@ def _verify_qbinom(args, out) -> int:
         mode = "exhaustive"
     else:
         n_pairs = n_triples = args.samples
-        sym_pairs = ((rng.randrange(side), rng.randrange(side))
-                     for _ in range(n_pairs))
-        triples = ((rng.randrange(side), rng.randrange(side), rng.randrange(side))
-                   for _ in range(n_triples))
+        draws = _indices(rng, side)
+        sym_pairs = islice(zip(draws, draws), n_pairs)
+        triples = islice(zip(draws, draws, draws), n_triples)
         mode = f"sampled, seed {args.seed}"
     sym_fail = sum(
         1 for m, n in sym_pairs

@@ -119,9 +119,13 @@ class _HypEngine:
     `_hh` (H^(m) H^(n), keyed (m, n)) and `_xx` (X^(m) X^(n), keyed (m, n)),
     each with at most bound^2 keys.
 
-    Two product tables, built only from the oracle tables, split mono_mul:
-    `_left` (H^(b) X^(c) Y^(a2), keyed (b, c, a2)) and `_right`
-    (H^(k) X^(z) H^(b2), keyed (k, z, b2)) have at most bound^3 keys.
+    Two product tables, built only from the oracle tables, split mono_mul.
+    `_left` (keyed (b, c, a2, step, r), 0 <= r < step) holds the groups
+    Y^(x) (...) X^(z) of H^(b) X^(c) Y^(a2) with x = r (mod step); step 1
+    (r = 0) holds the whole product.  Per step it has at most bound^3 * step
+    keys, and the residues of one (b, c, a2) split the step-1 groups between
+    them.  `_right` (H^(k) X^(z) H^(b2), keyed (k, z, b2)) has at most
+    bound^3 keys.
     """
 
     def __init__(self, params: HypParams):
@@ -132,7 +136,7 @@ class _HypEngine:
         self._hh: dict[tuple[int, int], dict[int, int]] = {}
         self._move: dict[tuple[int, int], dict[int, int]] = {}
         self._xx: dict[tuple[int, int], int] = {}
-        self._left: dict[tuple[int, int, int], tuple] = {}
+        self._left: dict[tuple[int, int, int, int, int], tuple] = {}
         self._right: dict[tuple[int, int, int], tuple] = {}
 
     def coeff(self, e: int, j: int) -> int:
@@ -199,16 +203,19 @@ class _HypEngine:
             self._xx[key] = memo
         return memo
 
-    def left_table(self, b: int, c: int, a2: int) -> tuple:
+    def left_table(self, b: int, c: int, a2: int, step: int, r: int) -> tuple:
         """H^(b) X^(c) Y^(a2) in normal order, as (x, z, ((k, c_k), ...))
-        groups: the sum over groups of Y^(x) (sum_k c_k H^(k)) X^(z)."""
-        key = (b, c, a2)
+        groups: the sum over groups of Y^(x) (sum_k c_k H^(k)) X^(z).  Only
+        the groups with x = r (mod step) are built; step 1 builds them all."""
+        key = (b, c, a2, step, r)
         memo = self._left.get(key)
         if memo is not None:
             return memo
         p = self.p
         groups: dict[tuple[int, int], dict[int, int]] = {}
         for (x, y, z), v in self.xy_table(c, a2).items():
+            if x % step != r:
+                continue
             # H^(b) slides right past Y^(x) and meets H^(y): sum_k h_k H^(k).
             h_mid = groups.setdefault((x, z), {})
             for j, cj in self.move_table(b, -2 * x).items():
@@ -244,20 +251,27 @@ class _HypEngine:
         X^(z) X^(c2) merge on the outside.
 
         Only the terms whose three indices `step` divides are kept; the
-        default 1 keeps them all.  A left-table group is skipped before its
-        merges unless `step` divides a + x and z + c2, and a right-table
-        term before it is accumulated unless `step` divides k2, so the
-        terms dropped are never built."""
+        default 1 keeps them all.  Only the left-table groups whose merged
+        indices a + x and z + c2 `step` divides are read, and a right-table
+        term is accumulated only if `step` divides k2, so the terms dropped
+        are never built."""
         a, b, c = left
         a2, b2, c2 = right
+        # Every group has z = c - a2 + x, so step divides both a + x and
+        # z + c2 only if it divides c + c2 - a - a2, and then exactly for
+        # the groups with x = -a (mod step).
+        if (c + c2 - a - a2) % step:
+            return {}
+        r = -a % step
+        groups = self._left.get((b, c, a2, step, r))
+        if groups is None:
+            groups = self.left_table(b, c, a2, step, r)
         p = self.p
         bound = self.bound
         xx = self._xx
         right_table = self.right_table
         out: HypElement = {}
-        for x, z, h_mid in self.left_table(b, c, a2):
-            if (a + x) % step or (z + c2) % step:
-                continue
+        for x, z, h_mid in groups:
             y_merge = xx.get((a, x))
             if y_merge is None:
                 y_merge = self.xx_merge(a, x)
@@ -366,7 +380,11 @@ def pi_of_product(params: HypParams, m: HypMonomial, n: HypMonomial,
                   k: int) -> HypElement:
     """pi(m*n) for two basis monomials at level k+1, exactly: the product is
     built only on the terms whose indices p^k divides, the terms pi keeps."""
-    return frobenius_pi(params, _engine(params).mono_mul(m, n, params.p ** k), k)
+    prod = _engine(params).mono_mul(m, n, params.p ** k)
+    # An empty product goes to frobenius_pi only at a wrong level, to raise.
+    if prod or params.level != k + 1:
+        return frobenius_pi(params, prod, k)
+    return prod
 
 
 def hyp_basis(params: HypParams):

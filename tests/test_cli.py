@@ -1,6 +1,7 @@
 import io
 import json
 import random
+from itertools import islice
 
 import pytest
 
@@ -478,6 +479,7 @@ def test_verify_charp_fails_when_the_product_drops_terms_pi_keeps(monkeypatch):
 def test_verify_charp_checks_the_pairs_its_seed_draws(monkeypatch):
     # Two randrange(729) draws per pair, unranked in hyp_basis order: a seed
     # names the same level-2 factor pairs whatever the check holds in memory.
+    # 729 < 2^10, so about 29% of the raw draws are rejected and redrawn.
     pairs = []
 
     def recording(params, m, n, k):
@@ -485,17 +487,52 @@ def test_verify_charp_checks_the_pairs_its_seed_draws(monkeypatch):
             pairs.append((m, n))
         return hyperalgebra.pi_of_product(params, m, n, k)
 
-    monkeypatch.setattr(cli, "pi_of_product", recording)
-    code, _ = run(["verify", "charp", "--p", "3", "--k", "1", "--samples", "5",
-                   "--seed", "7"])
-    assert code == 0
-    rng = random.Random(7)
-
     def monomial(i):
         return (i // 81, (i // 9) % 9, i % 9)
 
-    assert pairs == [(monomial(rng.randrange(729)), monomial(rng.randrange(729)))
-                     for _ in range(5)]
+    monkeypatch.setattr(cli, "pi_of_product", recording)
+    for seed in (7, 0):
+        pairs.clear()
+        code, _ = run(["verify", "charp", "--p", "3", "--k", "1",
+                       "--samples", "2000", "--seed", str(seed)])
+        assert code == 0
+        rng = random.Random(seed)
+        assert pairs == [(monomial(rng.randrange(729)),
+                          monomial(rng.randrange(729))) for _ in range(2000)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 25, 64, 81, 729])
+def test_indices_draw_the_randrange_stream(n):
+    for seed in (0, 1, 7, 12345):
+        rng = random.Random(seed)
+        expected = [rng.randrange(n) for _ in range(1000)]
+        assert list(islice(cli._indices(random.Random(seed), n), 1000)) == expected
+
+
+def test_verify_qbinom_draws_its_pairs_then_its_triples(monkeypatch):
+    # Each pair (m, n) is read off its first two binomials [m+n, m], [m+n, n]
+    # and each triple (m, n, pp) off its first two, [m+n, n], [m+n+pp, pp];
+    # the seeded stream must be the randrange draws the suite made before.
+    calls = []
+    binom = cli.gen_q_binom
+
+    def recording(field, top, bottom):
+        calls.append((top, bottom))
+        return binom(field, top, bottom)
+
+    monkeypatch.setattr(cli, "gen_q_binom", recording)
+    for seed in (3, 0):
+        calls.clear()
+        assert run(["verify", "qbinom", "--ell", "5", "--samples", "300",
+                    "--seed", str(seed)])[0] == 0
+        assert len(calls) == 2 * 300 + 4 * 300
+        pairs = [(calls[i][1], calls[i + 1][1]) for i in range(0, 600, 2)]
+        triples = [(calls[i][0] - calls[i][1], calls[i][1], calls[i + 1][1])
+                   for i in range(600, len(calls), 4)]
+        rng = random.Random(seed)
+        assert pairs == [(rng.randrange(25), rng.randrange(25)) for _ in range(300)]
+        assert triples == [(rng.randrange(25), rng.randrange(25), rng.randrange(25))
+                           for _ in range(300)]
 
 
 def _verify_charp_p2_fails_on(line):

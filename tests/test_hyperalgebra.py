@@ -1,6 +1,8 @@
+import inspect
 import itertools
 import math
 import random
+import textwrap
 
 import pytest
 
@@ -10,7 +12,7 @@ from qsl2.hyperalgebra import (HypParams, TruncatedSeries2, _engine,
                                format_hyp, frobenius_pi, hx_normal_order,
                                hyp_add, hyp_basis, hyp_monomial,
                                hyp_multiply, hyp_scale, kernel_dimensions,
-                               multiplicative_group_product,
+                               multiplicative_group_product, pi_of_product,
                                printed_xy_closed_form, xy_normal_order)
 from qsl2.linalg import _acc_mod, rank_mod_p
 
@@ -191,18 +193,86 @@ def test_mono_mul_matches_reference_sampled(p, level, samples):
         _assert_mono_mul_matches_reference(eng, left, right)
 
 
+def test_reference_catches_the_left_residue_read_with_the_wrong_sign():
+    # The mutant reads the left-table groups with x = a (mod step), not the
+    # x = -a that make step divide a + x, so the products it keeps differ.
+    # The same source, compiled unchanged, is the control.
+    source = textwrap.dedent(inspect.getsource(_HypEngine.mono_mul))
+    assert source.count("r = -a % step") == 1
+
+    def failures(source):
+        namespace = {}
+        exec(source, vars(hyperalgebra), namespace)
+        eng = type("Engine", (_HypEngine,), namespace)(HypParams(3, 1))
+        monos = list(hyp_basis(eng.params))
+        count = 0
+        for left, right in itertools.product(monos, repeat=2):
+            try:
+                _assert_mono_mul_matches_reference(eng, left, right)
+            except AssertionError:
+                count += 1
+        return count
+
+    assert failures(source) == 0
+    assert failures(source.replace("r = -a % step", "r = a % step")) > 0
+
+
 def test_product_tables_stay_within_bound_cubed():
-    # With a = c2 = 0 both merges are 1, so these products read every key
-    # that any product at (3, 2) reads.
-    eng = _engine(HypParams(3, 2))
+    # Per step, the left table has at most bound^3 triples (b, c, a2), each
+    # under at most `step` residues r: bound^3 * step keys.  The residues of
+    # one triple split the step-1 groups between them.  The right table has
+    # at most bound^3 keys.  A fresh engine: other tests' keys do not count.
+    eng = _HypEngine(HypParams(3, 2))
     bound = eng.bound
-    for b in range(bound):
-        for c in range(bound):
-            for a2 in range(bound):
-                for b2 in range(bound):
-                    eng.mono_mul((0, b, c), (a2, b2, 0))
-    assert 0 < len(eng._left) <= bound ** 3
+    for b, c, a2, b2 in itertools.product(range(bound), repeat=4):
+        # With a = c2 = 0 both merges are 1, so step 1 reads every key that
+        # any product at (3, 2) reads.  At step 3, a runs over the residues
+        # and c2 makes 3 divide c + c2 - a - a2, so no product is skipped.
+        eng.mono_mul((0, b, c), (a2, b2, 0))
+        for a in range(3):
+            eng.mono_mul((a, b, c), (a2, b2, (a + a2 - c) % 3), 3)
+    steps = {}
+    for b, c, a2, step, r in eng._left:
+        steps.setdefault(step, set()).add((b, c, a2))
+        assert 0 <= r < step
+    assert set(steps) == {1, 3}
+    assert all(len(triples) <= bound ** 3 for triples in steps.values())
+    assert len(eng._left) <= bound ** 3 * (1 + 3)
+    for b, c, a2 in steps[1]:
+        split = [group for r in range(3) for group in eng._left[(b, c, a2, 3, r)]]
+        assert sorted(split) == sorted(eng._left[(b, c, a2, 1, 0)])
     assert 0 < len(eng._right) <= bound ** 3
+
+
+def test_step_products_keep_only_their_residue_groups():
+    # 500 seeded step-5 products at (5, 2) build no full (step-1) left table,
+    # and each key holds only the groups of its residue.
+    eng = _HypEngine(HypParams(5, 2))
+    rng = random.Random(4)
+    for _ in range(500):
+        left, right = (tuple(rng.randrange(25) for _ in range(3)) for _ in range(2))
+        eng.mono_mul(left, right, 5)
+    assert eng._left
+    assert all(step == 5 for _, _, _, step, _ in eng._left)
+    assert all(x % step == r for (_, _, _, step, r), groups in eng._left.items()
+               for x, _, _ in groups)
+    # 5 does not divide c + c2 - a - a2 = 1: no term survives, no key is added.
+    keys = len(eng._left)
+    assert not any(key[:3] == (3, 1, 0) for key in eng._left)
+    assert eng.mono_mul((0, 3, 1), (0, 2, 0), 5) == {}
+    assert len(eng._left) == keys
+
+
+def test_pi_of_product_refuses_a_wrong_level():
+    params = HypParams(3, 2)
+    x1 = (0, 0, 1)
+    assert pi_of_product(params, x1, x1, 1) == {}  # 2 X(2): pi keeps nothing
+    assert pi_of_product(params, (0, 0, 3), x1, 1) == {}
+    assert pi_of_product(params, (0, 0, 3), (0, 0, 3), 1) == {(0, 0, 2): 2}
+    with pytest.raises(ValueError):
+        pi_of_product(params, x1, x1, 0)  # a nonempty product at step 1
+    with pytest.raises(ValueError):
+        pi_of_product(params, x1, x1, 2)  # an empty product at step 9
 
 
 def test_xy_bracket_is_h():
