@@ -38,6 +38,7 @@ the level.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -70,8 +71,9 @@ class AlgebraParams:
         # Exponents congruent mod ell name the same root, hence the same algebra.
         object.__setattr__(self, "root_exponent", self.root_exponent % self.ell)
 
-    @property
+    @functools.cached_property
     def field(self) -> CycField:
+        """Built once per params object; equality and hashing read only the fields."""
         return CycField(self.ell, self.root_exponent)
 
     @property

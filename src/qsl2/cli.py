@@ -32,14 +32,17 @@ import random
 import sys
 from itertools import islice
 
-from .algebra import (AlgebraParams, basis_monomials, relation_residues,
-                      uq_params)
+from . import hopf  # looked up at call time, so a replaced hopf function reaches the verify suites
+from .algebra import (AlgebraParams, AlgElement, basis_monomials,
+                      inclusion_iota, relation_residues, uq_params)
 from .errors import ResourceCapError
 from .exprs import (ExprSyntaxError, element_to_json, evaluate, format_cyc,
                     format_element, parse_expr)
 from .hyperalgebra import (HypParams, erratum_report, erratum_text,
                            frobenius_pi, hyp_add, hyp_basis, hyp_multiply,
                            kernel_dimensions, pi_of_product, xy_normal_order)
+from .modules import (SteinbergError, character, simple,
+                      steinberg_intertwiner, verma)
 from .qcomb import gen_q_binom
 
 DEFAULT_CAP = 1000
@@ -201,9 +204,6 @@ def _cmd_nf(args, out) -> int:
 
 
 def _cmd_rep(args, out) -> int:
-    from .modules import (SteinbergError, character, simple,
-                          steinberg_intertwiner, verma)
-
     params = _params(args)
     _check_cap(args, "module dimension", params.bound)
     weight = args.weight
@@ -266,11 +266,9 @@ def _verify_relations(args, out) -> int:
 
 
 def _verify_hopf(args, out) -> int:
-    from .hopf import hopf_axiom_check
-
     params = _params(args)
     _check_cap(args, "basis monomials", params.bound ** 3)
-    report = hopf_axiom_check(params)
+    report = hopf.hopf_axiom_check(params)
     lines = []
     for name, chk in report["checks"].items():
         lines.append(f"{name} (exhaustive): {chk['instances']} instances, "
@@ -281,23 +279,19 @@ def _verify_hopf(args, out) -> int:
 
 
 def _verify_cleft(args, out) -> int:
-    from .algebra import AlgElement, inclusion_iota
-    from .hopf import (coinvariants, gamma_colinear, inverse_failures,
-                       is_coinvariant)
-
     params = _params(args)
     if params.level < 1:
         print("error: cleft verification needs --N >= 1", file=sys.stderr)
         return 2
     _check_cap(args, "coinvariant block columns", params.ell ** 3)
     try:  # a coaction that is not block 0's relabelled fails this check only
-        coinvariant_dim, relabel_error = len(coinvariants(params)), None
+        coinvariant_dim, relabel_error = len(hopf.coinvariants(params)), None
     except AssertionError as exc:
         coinvariant_dim, relabel_error = None, str(exc)
     lower = AlgebraParams(params.ell, params.level - 1, params.root_exponent)
     iota_dim = lower.bound ** 3
     iota_inside = all(
-        is_coinvariant(inclusion_iota(
+        hopf.is_coinvariant(inclusion_iota(
             AlgElement.monomial(lower, m, n, p), params.level))
         for (m, n, p) in basis_monomials(lower))
     span_ok = coinvariant_dim == iota_dim and iota_inside
@@ -308,8 +302,8 @@ def _verify_cleft(args, out) -> int:
         span_line = (f"coinvariant dim == iota image dim {iota_dim}: "
                      f"FAIL ({relabel_error})")
 
-    colinear = gamma_colinear(params)
-    conv_ok = not inverse_failures(params)
+    colinear = hopf.gamma_colinear(params)
+    conv_ok = not hopf.inverse_failures(params)
     ok = span_ok and colinear and conv_ok
     lines = [
         span_line,

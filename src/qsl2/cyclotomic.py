@@ -137,6 +137,13 @@ def _combine(a: "CycNum", b: "CycNum", op) -> "CycNum":
     return _reduced(a.order, [op(x * ma, y * mb) for x, y in zip(a.num, b.num)], da * ma)
 
 
+def _scaled(x: "CycNum", n: int, d: int) -> "CycNum":
+    """x * n/d for integers n and d > 0; x itself when n/d is 1/1."""
+    if n == d == 1:
+        return x
+    return _reduced(x.order, [k * n for k in x.num], x.den * d)
+
+
 def _conjugate(x: "CycNum", r: int) -> "CycNum":
     """sigma_r(x) for r a unit mod x.order: the numerator at x^k moves to
     x^(r*k mod order), whose residue mod Phi_order is a row of _power_residues."""
@@ -202,15 +209,26 @@ class CycNum:
         return _make(self.order, tuple(-n for n in self.num), self.den)
 
     def __mul__(self, other) -> "CycNum":
+        """The product: the convolution of the numerators reduced mod
+        Phi_order, over the product of the denominators.
+
+        When either factor is rational (every numerator past the constant one
+        is 0) the convolution is the other factor's numerators times that
+        integer, so the product scales instead, through the same `_reduced`:
+        the canonical form is byte-identical.  A factor equal to 1 returns
+        the other factor itself, which is immutable."""
         if other.__class__ is not CycNum:
             if _is_rational(other):
-                return _reduced(self.order, [n * other.numerator for n in self.num],
-                                self.den * other.denominator)
+                return _scaled(self, other.numerator, other.denominator)
             return NotImplemented
         if self.order != other.order:
             raise _mismatch(self, other)
-        a = self.num
-        b = [(j, bj) for j, bj in enumerate(other.num) if bj]
+        a, b = self.num, other.num
+        if not any(b[1:]):
+            return _scaled(self, b[0], other.den)
+        if not any(a[1:]):
+            return _scaled(other, a[0], self.den)
+        b = [(j, bj) for j, bj in enumerate(b) if bj]
         deg = len(a)
         conv = [0] * (2 * deg - 1)
         for i, ai in enumerate(a):
@@ -307,10 +325,10 @@ class CycField:
         return _degree(self.ell)
 
     def zero(self) -> CycNum:
-        return CycNum.from_rational(self.ell, 0)
+        return _zero_cached(self.ell)
 
     def one(self) -> CycNum:
-        return CycNum.from_rational(self.ell, 1)
+        return _lambda_pow_cached(self.ell, 0)
 
     def rational(self, value) -> CycNum:
         return CycNum.from_rational(self.ell, value)
@@ -326,3 +344,8 @@ class CycField:
 @functools.lru_cache(maxsize=None)
 def _lambda_pow_cached(order: int, e: int) -> CycNum:
     return _make(order, _power_residues(order)[e], 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _zero_cached(order: int) -> CycNum:
+    return CycNum.from_rational(order, 0)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .algebra import (AlgebraParams, AlgElement, GeneratorId, generator,
                       projection_pi, relations, uq_params)
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, _acc
 from .hopf import rho
 from .linalg import Mat, nullspace_of_columns
 from .qcomb import inverse_q_factorial, q_int, to_digits
@@ -44,15 +44,19 @@ class ModuleRep:
 
     The generator matrices never change after construction: `action` is a
     read-only view, and nothing calls `Mat.set` on its matrices.  Every
-    construction below builds a new rep.  `_factors` memoizes the digit
-    factors of `_digit_factors` on that invariant; it takes no part in
-    equality or repr."""
+    construction below builds a new rep, with empty memos.  Two memos rest
+    on that invariant: `_factors` holds the digit factors of
+    `_digit_factors`, and `_monomials` the matrix of each monomial that
+    `monomial_matrix` was asked for.  Both are read-only once stored, and
+    neither takes part in equality or repr."""
 
     params: AlgebraParams
     dim: int
     action: Mapping[GeneratorId, Mat]
     basis_labels: tuple[int, ...]
     _factors: dict[tuple[str, int, int], Mat] = dc_field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _monomials: dict[tuple[int, int, int], Mat] = dc_field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -163,25 +167,34 @@ def _digit_factors(rep: ModuleRep, kind: str, m: int) -> list[Mat]:
 
 def monomial_matrix(rep: ModuleRep, mono: tuple[int, int, int]) -> Mat:
     """Matrix of F^(m) K^n E^(p): the product of its memoized nonzero digit
-    factors.  The result may be shared with the rep (a generator matrix or a
-    stored factor, when only one digit is nonzero), so it is read-only."""
+    factors, built once per rep and kept in `rep._monomials`.  The result is
+    shared with the rep (and may be a generator matrix or a stored factor,
+    when only one digit is nonzero), so it is read-only."""
+    memo = rep._monomials
+    mat = memo.get(mono)
+    if mat is not None:
+        return mat
     m, n, p = mono
     if max(mono) >= rep.params.bound:
         raise ValueError(f"monomial indices must lie in [0, {rep.params.bound})")
     factors = (_digit_factors(rep, "F", m) + _digit_factors(rep, "K", n)
                + _digit_factors(rep, "E", p))
-    if not factors:
-        return Mat.identity(rep.dim, rep.params.field)
-    return functools.reduce(operator.matmul, factors)
+    mat = (functools.reduce(operator.matmul, factors) if factors
+           else Mat.identity(rep.dim, rep.params.field))
+    memo[mono] = mat
+    return mat
 
 
 def element_matrix(rep: ModuleRep, x: AlgElement) -> Mat:
+    """Matrix of x: the sum over its terms c m of c times the matrix of m,
+    accumulated entry by entry into one new matrix, which the caller owns."""
     if x.params != rep.params:
         raise ValueError(f"an element of {x.params} cannot act on a module of {rep.params}")
-    result = Mat.zero(rep.dim, rep.dim, rep.params.field)
+    entries: dict[tuple[int, int], CycNum] = {}
     for mono, coeff in x.terms.items():
-        result = result + monomial_matrix(rep, mono).scaled(coeff)
-    return result
+        for key, v in monomial_matrix(rep, mono).entries.items():
+            _acc(entries, key, v * coeff)
+    return Mat(rep.dim, rep.dim, rep.params.field, entries)
 
 
 def weight_of_coordinate(rep: ModuleRep, idx: int) -> tuple[int, ...]:

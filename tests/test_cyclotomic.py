@@ -127,6 +127,10 @@ rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 
 @st.composite
 def elements(draw, order):
+    """A general element, or one time in three a rational one (0, +-1, p/q),
+    by which `CycNum.__mul__` scales instead of convolving."""
+    if draw(st.integers(0, 2)) == 0:
+        return CycNum.from_rational(order, draw(st.sampled_from([0, 1, -1]) | rationals))
     return CycNum(order, tuple(draw(rationals)
                                for _ in range(CycField(order).degree)))
 

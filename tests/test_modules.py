@@ -323,13 +323,39 @@ def test_memoized_factors_leave_derived_reps_unchanged():
     for mono in monos:
         monomial_matrix(rep, mono)
         monomial_matrix(small, mono)
+    assert rep._monomials and small._monomials
     extended = extend_by_trivial_top(rep)
     assert extended.action == extend_by_trivial_top(verma(p, 5)).action
-    assert not extended._factors
-    assert simple(p, 7).action == small.action
+    assert not extended._factors and not extended._monomials
+    again = simple(p, 7)
+    assert not again._factors and not again._monomials
+    assert again.action == small.action
     assert extend_by_trivial_top(small).action == \
         extend_by_trivial_top(simple(p, 7)).action
     assert rep == verma(p, 5)
+
+
+def test_element_matrix_sums_its_terms_into_a_new_matrix():
+    # E F - F E at level 0 is (K - K^-1)/(q - q^-1) in normal form: two
+    # diagonal terms that cancel where K acts by 1.  E F adds the term F E,
+    # which cancels them where F E acts by 0.
+    p = AlgebraParams(3, 1)
+    rep = verma(p, 5)
+    e, f = generator(p, "E", 0), generator(p, "F", 0)
+    for elem in (e * f - f * e, e * f):
+        mats = {mono: monomial_matrix(rep, mono) for mono in elem.terms}
+        before = {mono: dict(mat.entries) for mono, mat in mats.items()}
+        fold = Mat.zero(rep.dim, rep.dim, p.field)
+        for mono, coeff in elem.terms.items():
+            fold = fold + mats[mono].scaled(coeff)
+        got = element_matrix(rep, elem)
+        assert len(elem.terms) > 1 and got == fold
+        assert all(got.entries.values())
+        assert len(got.entries) < len(set().union(*(m.entries for m in mats.values())))
+        assert element_matrix(rep, elem) is not got
+        for mono, mat in mats.items():
+            assert monomial_matrix(rep, mono) is mat
+            assert mat.entries == before[mono]
 
 
 def test_element_matrix_refuses_element_of_another_algebra():
