@@ -11,9 +11,9 @@ multiplies each by the 3k generators X^(p^i), Y^(p^i), H^(p^i), i < k,
 multiplicative holds one basis triple and one pi image per basis index and
 frees both tables before the kernel check; of each sampled product it
 builds, and memoizes, only the left-table groups that give the terms pi
-keeps.  The sampled suites draw indices from `_indices`, the stream of
-repeated rng.randrange(n): charp two per pair, qbinom its pairs and then
-its triples from one stream.
+keeps (by Kummer's theorem, none on most pairs).  The sampled suites draw
+indices from `_indices`, the stream of repeated rng.randrange(n): charp
+two per pair, qbinom its pairs and then its triples from one stream.
 Each verify-only flag is read by some suites only (`VERIFY_FLAGS`): --cap by
 hopf and cleft, --p and --k by charp, --samples and --seed by charp and
 qbinom.  Giving one of them to any other suite is a usage error.
@@ -333,16 +333,16 @@ def _indices(rng: random.Random, n: int):
 
 
 def _pi_multiplicative(params: HypParams, k: int, pairs) -> bool:
-    """Whether pi(x*y) == pi(x)*pi(y) on each pair (i, j) of basis indices,
-    in `hyp_basis` order.  pi(x*y) is `pi_of_product`, which builds only the
-    terms of x*y that pi keeps.  The basis monomials and their pi images are
-    held once, in two tables that are freed when this returns."""
+    """Whether pi(x*y) == pi(x)*pi(y) on each pair (i, j) of basis indices
+    (`hyp_basis` order): `pi_of_product` on every pair, pi(x)*pi(y) {} unless
+    both images are nonzero.  The basis monomials and their pi images are
+    held once, in two tables freed when this returns."""
     low = HypParams(params.p, 1)
     basis = list(hyp_basis(params))
     images = [frobenius_pi(params, {mono: 1}, k) for mono in basis]
     for i, j in pairs:
-        if pi_of_product(params, basis[i], basis[j], k) \
-                != hyp_multiply(low, images[i], images[j]):
+        if pi_of_product(params, basis[i], basis[j], k) != (
+                hyp_multiply(low, images[i], images[j]) if images[i] and images[j] else {}):
             return False
     return True
 

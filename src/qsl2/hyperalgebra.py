@@ -25,7 +25,8 @@ power is computed over F_p, never read off a binomial formula, so the
 closed-form product formulas stay claims compared against these oracles
 (see erratum_report, which records where the printed forms disagree).
 Each normal-order helper, X^(n) Y^(m) or X^(c) H^(b), is `hyp_multiply`
-of two monomials.
+of two monomials.  Restricted to the terms p^j divides, those the
+level-lowering map keeps, most products are zero by Kummer's theorem.
 
 Also here: the product of the distribution algebra of the multiplicative
 group, computed from first principles by duality against its coordinate Hopf
@@ -120,12 +121,15 @@ class _HypEngine:
     each with at most bound^2 keys.
 
     Two product tables, built only from the oracle tables, split mono_mul.
-    `_left` (keyed (b, c, a2, step, r), 0 <= r < step) holds the groups
-    Y^(x) (...) X^(z) of H^(b) X^(c) Y^(a2) with x = r (mod step); step 1
-    (r = 0) holds the whole product.  Per step it has at most bound^3 * step
-    keys, and the residues of one (b, c, a2) split the step-1 groups between
-    them.  `_right` (H^(k) X^(z) H^(b2), keyed (k, z, b2)) has at most
-    bound^3 keys.
+    `_left` (keyed (b, c, a2, step)) holds the groups Y^(x) (...) X^(z) of
+    H^(b) X^(c) Y^(a2) whose x `step` divides (all of them at step 1), and
+    `_right` (H^(k) X^(z) H^(b2), keyed (k, z, b2)): per step at most
+    bound^3 keys each.  The lemma: a product has a nonzero term Y^(a+x)
+    H^(k2) X^(z+c2) that p^j divides only if p^j divides a and c2.  By
+    Kummer's theorem (J. Reine Angew. Math. 44 (1852)) binom(a+x, a) has
+    p-adic valuation the number of carries of a + x in base p, so if p^j
+    divides a + x but not a, the lowest nonzero digit of a carries and the
+    merge `xx_merge(a, x)` is 0; likewise `xx_merge(z, c2)`.
     """
 
     def __init__(self, params: HypParams):
@@ -136,7 +140,7 @@ class _HypEngine:
         self._hh: dict[tuple[int, int], dict[int, int]] = {}
         self._move: dict[tuple[int, int], dict[int, int]] = {}
         self._xx: dict[tuple[int, int], int] = {}
-        self._left: dict[tuple[int, int, int, int, int], tuple] = {}
+        self._left: dict[tuple[int, int, int, int], tuple] = {}
         self._right: dict[tuple[int, int, int], tuple] = {}
 
     def coeff(self, e: int, j: int) -> int:
@@ -203,18 +207,18 @@ class _HypEngine:
             self._xx[key] = memo
         return memo
 
-    def left_table(self, b: int, c: int, a2: int, step: int, r: int) -> tuple:
+    def left_table(self, b: int, c: int, a2: int, step: int) -> tuple:
         """H^(b) X^(c) Y^(a2) in normal order, as (x, z, ((k, c_k), ...))
         groups: the sum over groups of Y^(x) (sum_k c_k H^(k)) X^(z).  Only
-        the groups with x = r (mod step) are built; step 1 builds them all."""
-        key = (b, c, a2, step, r)
+        the groups whose x `step` divides are built; step 1 builds them all."""
+        key = (b, c, a2, step)
         memo = self._left.get(key)
         if memo is not None:
             return memo
         p = self.p
         groups: dict[tuple[int, int], dict[int, int]] = {}
         for (x, y, z), v in self.xy_table(c, a2).items():
-            if x % step != r:
+            if x % step:
                 continue
             # H^(b) slides right past Y^(x) and meets H^(y): sum_k h_k H^(k).
             h_mid = groups.setdefault((x, z), {})
@@ -251,27 +255,22 @@ class _HypEngine:
         X^(z) X^(c2) merge on the outside.
 
         Only the terms whose three indices `step` divides are kept; the
-        default 1 keeps them all.  Only the left-table groups whose merged
-        indices a + x and z + c2 `step` divides are read, and a right-table
-        term is accumulated only if `step` divides k2, so the terms dropped
-        are never built."""
+        default 1 keeps them all.  `step` must be p^j, j <= level, else
+        ValueError: only then does the class docstring's lemma make the
+        product {} unless step divides a, c2 and c - a2 (so x and z), and
+        only the left-table groups whose x step divides are read.  A
+        right-table term is kept only if step divides k2."""
+        if step < 1 or self.bound % step:
+            raise ValueError(f"step {step} is not a power of {self.p} up to {self.bound}")
         a, b, c = left
         a2, b2, c2 = right
-        # Every group has z = c - a2 + x, so step divides both a + x and
-        # z + c2 only if it divides c + c2 - a - a2, and then exactly for
-        # the groups with x = -a (mod step).
-        if (c + c2 - a - a2) % step:
+        if a % step or c2 % step or (c - a2) % step:
             return {}
-        r = -a % step
-        groups = self._left.get((b, c, a2, step, r))
-        if groups is None:
-            groups = self.left_table(b, c, a2, step, r)
-        p = self.p
-        bound = self.bound
+        p, bound = self.p, self.bound
         xx = self._xx
         right_table = self.right_table
         out: HypElement = {}
-        for x, z, h_mid in groups:
+        for x, z, h_mid in self.left_table(b, c, a2, step):
             y_merge = xx.get((a, x))
             if y_merge is None:
                 y_merge = self.xx_merge(a, x)
@@ -379,12 +378,11 @@ def frobenius_pi(params: HypParams, x: HypElement, k: int) -> HypElement:
 def pi_of_product(params: HypParams, m: HypMonomial, n: HypMonomial,
                   k: int) -> HypElement:
     """pi(m*n) for two basis monomials at level k+1, exactly: the product is
-    built only on the terms whose indices p^k divides, the terms pi keeps."""
+    built only on the terms whose indices p^k divides, the terms pi keeps:
+    {} at once unless p^k divides a, c2 and c - a2 (`_HypEngine.mono_mul`)."""
     prod = _engine(params).mono_mul(m, n, params.p ** k)
     # An empty product goes to frobenius_pi only at a wrong level, to raise.
-    if prod or params.level != k + 1:
-        return frobenius_pi(params, prod, k)
-    return prod
+    return frobenius_pi(params, prod, k) if prod or params.level != k + 1 else prod
 
 
 def hyp_basis(params: HypParams):

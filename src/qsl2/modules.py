@@ -280,10 +280,12 @@ def tensor_rep(u_rep: ModuleRep, d_rep: ModuleRep) -> ModuleRep:
     dim = u_rep.dim * d_rep.dim
     action: dict[GeneratorId, Mat] = {}
     for gid in d_rep.generator_ids():
-        mat = Mat.zero(dim, dim, params.field)
+        entries: dict[tuple[int, int], CycNum] = {}
         for (u1, d1), c in rho(generator(params, *gid)).terms.items():
-            mat = mat + monomial_matrix(u_rep, u1).kron(monomial_matrix(d_rep, d1)).scaled(c)
-        action[gid] = mat
+            term = monomial_matrix(u_rep, u1).kron(monomial_matrix(d_rep, d1))
+            for key, v in term.entries.items():
+                _acc(entries, key, v * c)
+        action[gid] = Mat(dim, dim, params.field, entries)
     return ModuleRep(params, dim, action, tuple(range(dim)))
 
 

@@ -476,6 +476,22 @@ def test_verify_charp_fails_when_the_product_drops_terms_pi_keeps(monkeypatch):
     assert lines[-1] == "FAIL"
 
 
+def test_verify_charp_fails_when_pi_keeps_a_term_of_a_pair_with_a_zero_image(monkeypatch):
+    # pi(x) = 0 makes pi(x) pi(y) = 0 without a product being built, so a
+    # pi(x*y) with a term there must still fail: here every such pair gets 1.
+    def extra_term(params, m, n, k):
+        prod = hyperalgebra.pi_of_product(params, m, n, k)
+        if params.level == 2 and any(i % 2 for i in m):
+            return {**prod, (0, 0, 0): 1}
+        return prod
+
+    monkeypatch.setattr(cli, "pi_of_product", extra_term)
+    code, out = run(["verify", "charp", "--p", "2", "--k", "1"])
+    assert code == 1
+    assert out.splitlines()[1] == ("level-lowering map multiplicative on 4096 "
+                                   "pairs (exhaustive): FAIL")
+
+
 def test_verify_charp_checks_the_pairs_its_seed_draws(monkeypatch):
     # Two randrange(729) draws per pair, unranked in hyp_basis order: a seed
     # names the same level-2 factor pairs whatever the check holds in memory.

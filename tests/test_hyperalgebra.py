@@ -193,20 +193,46 @@ def test_mono_mul_matches_reference_sampled(p, level, samples):
         _assert_mono_mul_matches_reference(eng, left, right)
 
 
-def test_reference_catches_the_left_residue_read_with_the_wrong_sign():
-    # The mutant reads the left-table groups with x = a (mod step), not the
-    # x = -a that make step divide a + x, so the products it keeps differ.
-    # The same source, compiled unchanged, is the control.
+@pytest.mark.parametrize("p,level", [(2, 3), (3, 2), (5, 2), (7, 1)])
+def test_merge_vanishes_where_step_divides_the_sum_but_not_a(p, level):
+    # Kummer's theorem, read off the engine's own series: if p^j divides
+    # a + x but not a, the lowest nonzero base-p digit of a carries, so
+    # binom(a+x, a) = [s^a] (1+s)^(a+x) is 0 mod p.  mono_mul's early exit
+    # rests on this (xx_merge is symmetric, so it covers c2 too).
+    eng = _HypEngine(HypParams(p, level))
+    bound = eng.bound
+    cases = 0
+    for j in range(1, level + 1):
+        step = p ** j
+        for a, x in itertools.product(range(bound), repeat=2):
+            if (a + x) % step == 0 and a % step:
+                assert eng.xx_merge(a, x) == 0, (step, a, x)
+                assert eng.xx_merge(x, a) == 0, (step, x, a)
+                cases += 1
+    assert cases >= bound - 1
+
+
+def test_reference_catches_a_wrong_early_exit():
+    # mono_mul returns {} unless step divides a, c2 and c - a2.  A mutant
+    # that drops one of the three tests keeps terms step does not divide; one
+    # that tests more (a against step * p, or c read in place of c2) drops
+    # terms step divides.  Each fails the reference on seeded pairs at (3, 2).
+    # The same source, compiled unchanged, is the control.  The pairs have no
+    # H part: uniform pairs at step 3 are nearly all {}, and 300 of them catch
+    # only two of the five mutants.
     source = textwrap.dedent(inspect.getsource(_HypEngine.mono_mul))
-    assert source.count("r = -a % step") == 1
+    exit_test = "if a % step or c2 % step or (c - a2) % step:"
+    assert source.count(exit_test) == 1
+    rng = random.Random(5)
+    pairs = [tuple((rng.randrange(9), 0, rng.randrange(9)) for _ in range(2))
+             for _ in range(1000)]
 
     def failures(source):
         namespace = {}
         exec(source, vars(hyperalgebra), namespace)
-        eng = type("Engine", (_HypEngine,), namespace)(HypParams(3, 1))
-        monos = list(hyp_basis(eng.params))
+        eng = type("Engine", (_HypEngine,), namespace)(HypParams(3, 2))
         count = 0
-        for left, right in itertools.product(monos, repeat=2):
+        for left, right in pairs:
             try:
                 _assert_mono_mul_matches_reference(eng, left, right)
             except AssertionError:
@@ -214,53 +240,75 @@ def test_reference_catches_the_left_residue_read_with_the_wrong_sign():
         return count
 
     assert failures(source) == 0
-    assert failures(source.replace("r = -a % step", "r = a % step")) > 0
+    for mutant in ("if c2 % step or (c - a2) % step:",
+                   "if a % step or (c - a2) % step:",
+                   "if a % step or c2 % step:",
+                   "if a % (step * self.p) or c2 % step or (c - a2) % step:",
+                   "if a % step or c % step or (c - a2) % step:"):
+        assert failures(source.replace(exit_test, mutant)) > 0, mutant
+
+
+def test_mono_mul_refuses_a_step_that_is_not_a_power_of_p():
+    # The early exit holds only for step = p^j: at p = 3, X(1) X(1) = 2 X(2)
+    # has a term that 2 divides, yet 2 does not divide c2 = 1.
+    eng = _engine(HypParams(3, 2))
+    x1 = (0, 0, 1)
+    for step in (0, -3, 2, 6, 27):
+        with pytest.raises(ValueError):
+            eng.mono_mul(x1, x1, step)
+    assert eng.mono_mul(x1, x1, 1) == {(0, 0, 2): 2}
+    assert eng.mono_mul(x1, x1, 3) == eng.mono_mul(x1, x1, 9) == {}
+    assert eng.mono_mul((0, 0, 0), (0, 0, 0), 9) == {(0, 0, 0): 1}
 
 
 def test_product_tables_stay_within_bound_cubed():
-    # Per step, the left table has at most bound^3 triples (b, c, a2), each
-    # under at most `step` residues r: bound^3 * step keys.  The residues of
-    # one triple split the step-1 groups between them.  The right table has
-    # at most bound^3 keys.  A fresh engine: other tests' keys do not count.
+    # Per step, the left table has at most bound^3 keys (b, c, a2, step), and
+    # a step-3 key holds exactly the step-1 groups whose x 3 divides.  The
+    # right table has at most bound^3 keys.  A fresh engine: other tests'
+    # keys do not count.
     eng = _HypEngine(HypParams(3, 2))
     bound = eng.bound
     for b, c, a2, b2 in itertools.product(range(bound), repeat=4):
         # With a = c2 = 0 both merges are 1, so step 1 reads every key that
-        # any product at (3, 2) reads.  At step 3, a runs over the residues
-        # and c2 makes 3 divide c + c2 - a - a2, so no product is skipped.
+        # any product at (3, 2) reads, and step 3 every key that any step-3
+        # product reads: those with c = a2 (mod 3).
         eng.mono_mul((0, b, c), (a2, b2, 0))
-        for a in range(3):
-            eng.mono_mul((a, b, c), (a2, b2, (a + a2 - c) % 3), 3)
+        eng.mono_mul((0, b, c), (a2, b2, 0), 3)
     steps = {}
-    for b, c, a2, step, r in eng._left:
+    for b, c, a2, step in eng._left:
         steps.setdefault(step, set()).add((b, c, a2))
-        assert 0 <= r < step
     assert set(steps) == {1, 3}
-    assert all(len(triples) <= bound ** 3 for triples in steps.values())
-    assert len(eng._left) <= bound ** 3 * (1 + 3)
-    for b, c, a2 in steps[1]:
-        split = [group for r in range(3) for group in eng._left[(b, c, a2, 3, r)]]
-        assert sorted(split) == sorted(eng._left[(b, c, a2, 1, 0)])
+    assert steps[1] == set(itertools.product(range(bound), repeat=3))
+    assert steps[3] == {key for key in steps[1] if (key[1] - key[2]) % 3 == 0}
+    assert len(eng._left) == bound ** 3 + bound ** 3 // 3
+    for b, c, a2 in steps[3]:
+        assert sorted(eng._left[(b, c, a2, 3)]) == sorted(
+            group for group in eng._left[(b, c, a2, 1)] if group[0] % 3 == 0)
     assert 0 < len(eng._right) <= bound ** 3
 
 
-def test_step_products_keep_only_their_residue_groups():
+def test_step_products_read_only_the_groups_step_divides():
     # 500 seeded step-5 products at (5, 2) build no full (step-1) left table,
-    # and each key holds only the groups of its residue.
+    # read only keys with c = a2 (mod 5), and each key holds only the groups
+    # whose x 5 divides.
     eng = _HypEngine(HypParams(5, 2))
     rng = random.Random(4)
     for _ in range(500):
         left, right = (tuple(rng.randrange(25) for _ in range(3)) for _ in range(2))
         eng.mono_mul(left, right, 5)
     assert eng._left
-    assert all(step == 5 for _, _, _, step, _ in eng._left)
-    assert all(x % step == r for (_, _, _, step, r), groups in eng._left.items()
-               for x, _, _ in groups)
-    # 5 does not divide c + c2 - a - a2 = 1: no term survives, no key is added.
-    keys = len(eng._left)
-    assert not any(key[:3] == (3, 1, 0) for key in eng._left)
-    assert eng.mono_mul((0, 3, 1), (0, 2, 0), 5) == {}
-    assert len(eng._left) == keys
+    assert all(step == 5 and (c - a2) % 5 == 0 for _, c, a2, step in eng._left)
+    assert all(x % 5 == 0 for groups in eng._left.values() for x, _, _ in groups)
+    # 5 fails to divide a, c2 or c - a2, one each: no term survives, and no
+    # key is added.
+    keys = set(eng._left)
+    exits = [((1, 3, 1), (1, 2, 0)), ((0, 3, 1), (1, 2, 1)), ((0, 3, 1), (0, 2, 0))]
+    assert not keys & {(3, 1, 1, 5), (3, 1, 0, 5)}
+    for left, right in exits:
+        assert eng.mono_mul(left, right, 5) == {}
+    assert set(eng._left) == keys
+    for left, right in exits:
+        _assert_mono_mul_matches_reference(eng, left, right)
 
 
 def test_pi_of_product_refuses_a_wrong_level():

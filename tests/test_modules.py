@@ -6,6 +6,7 @@ from qsl2 import modules, qcomb
 from qsl2.algebra import (AlgebraParams, AlgElement, basis_monomials,
                           generator, uq_params)
 from qsl2.cyclotomic import CycNum
+from qsl2.hopf import rho
 from qsl2.linalg import Mat
 from qsl2.modules import (SteinbergError, character, element_matrix,
                           extend_by_trivial_top, monomial_matrix,
@@ -333,6 +334,26 @@ def test_memoized_factors_leave_derived_reps_unchanged():
     assert extend_by_trivial_top(small).action == \
         extend_by_trivial_top(simple(p, 7)).action
     assert rep == verma(p, 5)
+
+
+def test_tensor_rep_sums_each_coaction_into_one_matrix():
+    # Each generator's matrix is the fold of c u(u1) (x) d(d1) over the
+    # terms of rho(g), with no zero entry kept, and the factors' monomial
+    # matrices are left unchanged.
+    p = AlgebraParams(3, 1)
+    u, w = uq_simple(3, 2), verma(p, 7)
+    coactions = {gid: rho(generator(p, *gid)).terms for gid in w.generator_ids()}
+    assert any(len(terms) > 1 for terms in coactions.values())
+    factors = {(side, mono): monomial_matrix(rep, mono) for terms in coactions.values()
+               for pair in terms for side, rep, mono in zip("uw", (u, w), pair)}
+    before = {key: dict(mat.entries) for key, mat in factors.items()}
+    t = tensor_rep(u, w)
+    for gid, terms in coactions.items():
+        fold = Mat.zero(t.dim, t.dim, p.field)
+        for (u1, d1), c in terms.items():
+            fold = fold + factors["u", u1].kron(factors["w", d1]).scaled(c)
+        assert t.mat(*gid) == fold and all(t.mat(*gid).entries.values())
+    assert all(factors[key].entries == entries for key, entries in before.items())
 
 
 def test_element_matrix_sums_its_terms_into_a_new_matrix():
